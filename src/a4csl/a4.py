@@ -23,28 +23,25 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .golden import ONE, RAT_ZERO, GoldenInt, GoldenRat
+from .golden import ONE, RAT_ZERO, GoldenInt
 from .icosian import (
-    ICOSIAN_BASIS,
     ZBASIS,
     ExtensionPair,
     Icosian,
-    NotAdmissibleError,
-    _gr_inverse,
+    _coords_from_inverse,
+    _half,
+    tr_frac,
 )
 from .lattice import (
     ExactLattice,
     IntMatrix,
+    _rat_inverse,
     det_int,
     hnf,
     lattice_index,
     lattice_intersect,
 )
 from .quaternion import Quat, RotationMatrix
-
-
-def _half(x: GoldenInt) -> GoldenRat:
-    return GoldenRat.make(x, 2)
 
 
 #: Basis of the twist-fixed lattice, chosen so the Gram matrix below is
@@ -70,19 +67,14 @@ def phi_plus(q: Quat) -> Quat:
     return q + q.twist()
 
 
-_LB_INV = _gr_inverse([list(b.components()) for b in L_BASIS])
-
-
-def _tr_frac(x: GoldenRat) -> Fraction:
-    a, b = x.as_fraction_pair()
-    return 2 * a + b
+_LB_INV = _rat_inverse([list(b.components()) for b in L_BASIS])
 
 
 def _check_basis() -> None:
     for b in L_BASIS:
         assert b.twist() == b
         Icosian.from_quat(b)  # raises if outside the icosian ring
-    gram = [[_tr_frac(L_BASIS[i].dot(L_BASIS[j])) for j in range(4)]
+    gram = [[tr_frac(L_BASIS[i].dot(L_BASIS[j])) for j in range(4)]
             for i in range(4)]
     assert gram == [[Fraction(x) for x in row] for row in CARTAN_A4]
 
@@ -96,8 +88,6 @@ def dual_lattice_gram() -> IntMatrix:
     n = 4
     c = [[Fraction(CARTAN_A4[i][j]) for j in range(n)] for i in range(n)]
     # adjugate = det * inverse
-    from .lattice import _rat_inverse
-
     inv = _rat_inverse(c)
     out = []
     for i in range(n):
@@ -113,12 +103,8 @@ def dual_lattice_gram() -> IntMatrix:
 def l_coords_rational(q: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Coordinates of a twist-fixed quaternion in the L basis; they are
     always rational (the tau parts cancel), and this is checked."""
-    comps = q.components()
     out = []
-    for i in range(4):
-        x = RAT_ZERO
-        for k in range(4):
-            x = x + comps[k] * _LB_INV[k][i]
+    for x in _coords_from_inverse(q, _LB_INV):
         a, b = x.as_fraction_pair()
         if b:
             raise ValueError(f"{q} is not in the rational span of the L basis")
@@ -188,9 +174,6 @@ class CoordSublattice:
                   for j in range(4))
             for i in range(4)
         )
-
-    def to_exact(self) -> ExactLattice:
-        return ExactLattice.from_rows(self.basis)
 
 
 def ssl_of(p: Icosian) -> CoordSublattice:

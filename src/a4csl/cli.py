@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -37,6 +38,18 @@ _PROFILES = {
     "default": (11, 9, 5, 100, 200),
     "deep": (12, 10, 6, 1000, 400),
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _thread_count(text: str) -> int:
+    """A positive worker count, clamped to the number of CPUs."""
+    return min(_positive_int(text), os.cpu_count() or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = subs.add_parser("count", help="tabulate a counting function")
     p_count.add_argument("kind", choices=("ssl", "soc"))
-    p_count.add_argument("--max", type=int, default=20, metavar="N")
+    p_count.add_argument("--max", type=_positive_int, default=20, metavar="N")
     _add_io_flags(p_count)
     p_count.set_defaults(func=_cmd_count)
 
@@ -225,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "series", help="check a Dirichlet-series identity coefficientwise"
     )
     p_series.add_argument("kind", choices=("ssl", "soc"))
-    p_series.add_argument("--limit", type=int, default=200, metavar="N")
+    p_series.add_argument("--limit", type=_positive_int, default=200, metavar="N")
     _add_io_flags(p_series)
     p_series.set_defaults(func=_cmd_series)
 
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = subs.add_parser(
         "enumerate-icosians", help="list the icosian shell of a given trace norm"
     )
-    p_enum.add_argument("--trace-norm", type=int, required=True, metavar="T")
+    p_enum.add_argument("--trace-norm", type=_positive_int, required=True, metavar="T")
     p_enum.add_argument("--primitive", action="store_true",
                         help="keep only primitive icosians")
     _add_io_flags(p_enum)
@@ -257,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--profile", choices=tuple(_PROFILES), default="default")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=_thread_count, default=1,
+                          help="worker processes (at most the CPU count)")
     _add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

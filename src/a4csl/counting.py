@@ -20,18 +20,25 @@ from .golden import factor_int, splitting_type
 
 # -- multiplicative machinery ----------------------------------------------
 
-def expand_multiplicative(prime_power: Callable[[int, int], int],
-                          limit: int) -> list[int]:
-    """Values f(0..limit) of the multiplicative function with the given
-    prime-power values (f[0] is a placeholder 0, f[1] = 1)."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n, for n = 0..limit (spf[n] == n
+    exactly when n is prime or n < 2)."""
     spf = list(range(limit + 1))
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:
                     spf[q] = p
+    return spf
+
+
+def expand_multiplicative(prime_power: Callable[[int, int], int],
+                          limit: int) -> list[int]:
+    """Values f(0..limit) of the multiplicative function with the given
+    prime-power values (f[0] is a placeholder 0, f[1] = 1)."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    spf = _smallest_prime_factors(limit)
     out = [0] * (limit + 1)
     out[1] = 1
     for n in range(2, limit + 1):
@@ -304,8 +311,9 @@ def check_soc_identity(max_index: int,
         if rhs.get(n, 0) != values(n):
             return False
 
+    spf = _smallest_prime_factors(max_index)
     for p in range(2, max_index + 1):
-        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if spf[p] != p:
             continue
         terms = 1
         while p ** terms <= max_index:

@@ -216,22 +216,18 @@ TAU_SQ_INV = GoldenInt(2, -1)   # tau^-2 = 2 - tau
 
 def format_golden(a, b) -> str:
     """Render a + b*t with integer or Fraction coefficients."""
-
-    def coeff(c) -> str:
-        return str(c)
-
     if not a and not b:
         return "0"
     parts = []
     if a:
-        parts.append(coeff(a))
+        parts.append(str(a))
     if b:
         if b == 1:
             tpart = "t"
         elif b == -1:
             tpart = "-t"
         else:
-            tpart = f"{coeff(b)}*t"
+            tpart = f"{b}*t"
         if parts and not tpart.startswith("-"):
             parts.append("+" + tpart)
         else:
@@ -410,7 +406,6 @@ def _coerce_rat(x: object) -> GoldenRat:
 
 RAT_ZERO = GoldenRat(ZERO, 1)
 RAT_ONE = GoldenRat(ONE, 1)
-RAT_HALF = GoldenRat(ONE, 2)
 
 
 def parse_golden_rat(text: str) -> GoldenRat:
@@ -427,7 +422,7 @@ def gi_gcd(x: GoldenInt | int, y: GoldenInt | int) -> GoldenInt:
     if not x and not y:
         raise ValueError("gcd(0, 0) is undefined")
     while y:
-        nx, ny = abs(x.signed_norm()), abs(y.signed_norm())
+        ny = abs(y.signed_norm())
         x, y = y, x % y
         assert abs(y.signed_norm()) < ny or not y  # Euclidean descent
     return canonical_associate(x)
@@ -502,13 +497,19 @@ def gi_sqrt(x: GoldenInt | int) -> GoldenInt | None:
 
 _SMALL_PRIME_BOUND = 1 << 20
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: as Miller-Rabin bases they decide primality of every
+# n < _MR_BOUND (Sorenson & Webster, Math. Comp. 2017); _MR_BOUND itself is
+# a strong pseudoprime to all of them
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test; raises ValueError for an n >= _MR_BOUND
+    that passes every base, where the bases prove nothing."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -525,6 +526,8 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide primality of {n} >= {_MR_BOUND} deterministically")
     return True
 
 
@@ -544,7 +547,13 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:
-    """Deterministic integer factorization (trial division, then rho)."""
+    """Deterministic integer factorization (trial division, then rho).
+
+    Exact for every n whose prime factors above 2^20 lie below
+    3317044064679887385961981, the range where the Miller-Rabin bases
+    decide primality; a cofactor beyond it that the bases cannot prove
+    composite raises ValueError.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)

@@ -22,16 +22,14 @@ from typing import Iterable, Sequence
 
 from .golden import (
     ONE,
-    RAT_ONE,
     RAT_ZERO,
     GoldenInt,
     GoldenRat,
-    ZERO,
     gi_gcd,
     gi_lcm_std,
     gi_sqrt,
 )
-from .lattice import short_vectors
+from .lattice import _rat_inverse, short_vectors
 from .quaternion import Quat, RotationMatrix, rotation_matrix
 
 
@@ -48,6 +46,12 @@ def _half(x: GoldenInt) -> GoldenRat:
     return GoldenRat.make(x, 2)
 
 
+def tr_frac(x: GoldenRat) -> Fraction:
+    """The rational trace x + x' of an element of Q(sqrt 5)."""
+    a, b = x.as_fraction_pair()
+    return 2 * a + b
+
+
 ICOSIAN_BASIS: tuple[Quat, ...] = (
     Quat.of(1, 0, 0, 0),
     Quat.of(0, 1, 0, 0),
@@ -56,34 +60,24 @@ ICOSIAN_BASIS: tuple[Quat, ...] = (
 )
 
 
-def _gr_inverse(m: Sequence[Sequence[GoldenRat]]) -> list[list[GoldenRat]]:
-    n = len(m)
-    a = [list(row) + [RAT_ONE if i == j else RAT_ZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
 # rows of _E are the basis icosians written in components 1, i, j, k
 _E: list[list[GoldenRat]] = [list(e.components()) for e in ICOSIAN_BASIS]
-_E_INV: list[list[GoldenRat]] = _gr_inverse(_E)
+_E_INV: list[list[GoldenRat]] = _rat_inverse(_E)
+
+
+def _coords_from_inverse(q: Quat, inv: Sequence[Sequence[GoldenRat]]
+                         ) -> tuple[GoldenRat, GoldenRat, GoldenRat, GoldenRat]:
+    """Coefficients of q in the basis whose component matrix has inverse inv."""
+    comps = q.components()
+    return tuple(
+        sum((comps[k] * inv[k][i] for k in range(4)), RAT_ZERO)
+        for i in range(4)
+    )
 
 
 def basis_coordinates(q: Quat) -> tuple[GoldenRat, GoldenRat, GoldenRat, GoldenRat]:
     """Coefficients x with q = sum x_i e_i, as exact golden rationals."""
-    comps = q.components()
-    return tuple(
-        sum((comps[k] * _E_INV[k][i] for k in range(4)), RAT_ZERO)
-        for i in range(4)
-    )
+    return _coords_from_inverse(q, _E_INV)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,10 +263,6 @@ ZBASIS: tuple[Icosian, ...] = _zbasis()
 
 
 def _trace_gram() -> tuple[tuple[Fraction, ...], ...]:
-    def tr_frac(x: GoldenRat) -> Fraction:
-        a, b = x.as_fraction_pair()
-        return 2 * a + b
-
     rows = []
     for f in ZBASIS:
         row = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -92,35 +92,15 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _det_frac(m: Sequence[Sequence]) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
-
-
 def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Ordered k-tuples of positive integers with product n, lexicographic."""
     if k == 1:
         yield (n,)
         return
-    for d in range(1, n + 1):
-        if n % d == 0:
-            for rest in _divisor_tuples(n // d, k - 1):
-                yield (d,) + rest
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    for d in small + [n // d for d in reversed(small) if d * d != n]:
+        for rest in _divisor_tuples(n // d, k - 1):
+            yield (d,) + rest
 
 
 def enumerate_sublattices(rank: int, index: int) -> Iterator[IntMatrix]:
@@ -157,10 +137,11 @@ def enumerate_sublattices(rank: int, index: int) -> Iterator[IntMatrix]:
 
 # -- rational lattices ----------------------------------------------------
 
-def _rat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def _rat_inverse(m: Sequence[Sequence]) -> list[list]:
+    """Gauss-Jordan inverse over an exact field (Fraction or GoldenRat
+    entries); raises ValueError on a singular matrix."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
@@ -238,38 +219,18 @@ class ExactLattice:
 
 
 def lattice_index(sub: ExactLattice, sup: ExactLattice) -> int:
-    """Index [sup : sub] for full-rank lattices, sub a sublattice of sup."""
+    """Index [sup : sub] for full-rank lattices, sub a sublattice of sup:
+    the ratio of their determinants, which are the products of the
+    diagonals of the triangular canonical bases."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if not (sub.is_full_rank() and sup.is_full_rank()):
         raise ValueError("index needs full-rank lattices")
-    inv = _rat_inverse(sup.basis)
-    # coordinates of sub's basis in terms of sup's
-    coords = [[sum(sub.basis[i][k] * inv[k][j] for k in range(sub.ambient_dim))
-               for j in range(sub.ambient_dim)] for i in range(sub.rank)]
-    det = Fraction(1)
-    m = [row[:] for row in coords]
-    n = len(m)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv_p = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv_p
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    for row in coords:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("first lattice is not a sublattice of the second")
-    det = abs(det)
-    if det.denominator != 1:
+    if not all(sup.contains(row) for row in sub.basis):
         raise ValueError("first lattice is not a sublattice of the second")
-    return int(det)
+    index = prod(row[i] for i, row in enumerate(sub.basis)) / prod(
+        row[i] for i, row in enumerate(sup.basis))
+    return int(index)
 
 
 def lattice_dual(lat: ExactLattice, gram: Sequence[Sequence[int]] | None = None) -> ExactLattice:
@@ -366,25 +327,6 @@ def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[RatMatrix, IntMatrix]:
     return tuple(tuple(x) for x in a), tuple(tuple(r) for r in u)
 
 
-def _fp_decompose(gram: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Express x^T G x = sum_i d[i] * (x_i + sum_{j>i} mu[i][j] x_j)^2."""
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= a[i][k] * a[i][l] / d[i]
-                a[l][k] = a[k][l]
-    return d, mu
-
-
 def _floor_sqrt_frac(f: Fraction) -> int:
     """floor(sqrt(f)) for f >= 0, exactly."""
     if f < 0:
@@ -404,7 +346,8 @@ def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, 
     bound = Fraction(bound)
     if bound < 0:
         return
-    d, mu = _fp_decompose(gram)
+    # x^T G x = sum_i d[i] * (x_i + sum_{j>i} mu[j][i] x_j)^2
+    d, mu = _gso_from_gram([[Fraction(x) for x in row] for row in gram])
     x = [0] * n
 
     def rec(i: int, remaining: Fraction, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -412,14 +355,12 @@ def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, 
             if not higher_zero:
                 yield tuple(x), bound - remaining
             return
-        center = -sum(mu[i][j] * x[j] for j in range(i + 1, n))
+        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
         # x_i ranges over integers with d[i]*(x_i - center)^2 <= remaining
         r2 = remaining / d[i]
         rt = _floor_sqrt_frac(r2)
-        lo_f = center - rt - 1
-        lo = int(lo_f) - 1
-        hi_f = center + rt + 1
-        hi = int(hi_f) + 1
+        lo = int(center - rt - 1) - 1
+        hi = int(center + rt + 1) + 1
         start = 0 if higher_zero else lo
         for xi in range(start, hi + 1):
             diff = xi - center
@@ -458,7 +399,7 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrices must be symmetric")
-    if _det_frac(g1) != _det_frac(g2):
+    if det_int(g1) != det_int(g2):
         raise ValueError("determinants differ; forms live in different genera")
 
     r1, _ = lll_reduce_gram(g1)  # raises if not positive definite

@@ -17,7 +17,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .a4 import CARTAN_A4, csl_of, denominator_of, dual_lattice_gram
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
@@ -30,29 +30,13 @@ from .golden import (
     splitting_type,
 )
 from .icosian import Icosian, enumerate_by_trace_norm, norm_one_units
-from .lattice import forms_equivalent
+from .lattice import _divisor_tuples, det_int, forms_equivalent
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 # --------------------------------------------------------------------------
 # similar sublattices
-
-
-def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All ordered k-tuples of positive integers with product n."""
-    if k == 1:
-        yield (n,)
-        return
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for rest in _divisor_tuples(n // d, k - 1):
-                yield (d,) + rest
-            if d != n // d:
-                for rest in _divisor_tuples(d, k - 1):
-                    yield (n // d,) + rest
-        d += 1
 
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
@@ -63,10 +47,8 @@ def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
         raise ValueError("gram matrix must be symmetric")
     # leading principal minors of a positive-definite matrix are positive
-    from .lattice import _det_frac
-
     for k in range(1, n + 1):
-        if _det_frac([row[:k] for row in g[:k]]) <= 0:
+        if det_int([row[:k] for row in g[:k]]) <= 0:
             raise ValueError("gram matrix must be positive definite")
     return g
 

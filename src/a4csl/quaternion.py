@@ -98,10 +98,6 @@ class Quat:
         """(a, b, c, d) -> (conj a, conj b, conj d, conj c)."""
         return Quat(self.a.conj(), self.b.conj(), self.d.conj(), self.c.conj())
 
-    def galois_conj(self) -> Quat:
-        """Componentwise algebraic conjugation (no swap)."""
-        return Quat(self.a.conj(), self.b.conj(), self.c.conj(), self.d.conj())
-
     def inverse(self) -> Quat:
         n = self.nr()
         if not n:
@@ -117,7 +113,6 @@ class Quat:
         return "(" + ",".join(str(c) for c in self.components()) + ")"
 
 
-QUAT_ZERO = Quat(RAT_ZERO, RAT_ZERO, RAT_ZERO, RAT_ZERO)
 QUAT_ONE = Quat(RAT_ONE, RAT_ZERO, RAT_ZERO, RAT_ZERO)
 
 _STANDARD_BASIS = (
@@ -165,9 +160,6 @@ class RotationMatrix:
         m = self.entries
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise ValueError("rotation matrix must be 4x4")
-
-    def column(self, j: int) -> tuple[GoldenRat, ...]:
-        return tuple(self.entries[i][j] for i in range(4))
 
     def apply(self, x: Quat) -> Quat:
         comps = x.components()

@@ -1,0 +1,85 @@
+"""The single copies of the exact linear-algebra and prime helpers."""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from a4csl import icosian, lattice, oracle
+from a4csl.counting import f_soc
+from a4csl.golden import RAT_ONE, RAT_ZERO, _is_prime, factor_int
+from a4csl.lattice import ExactLattice, _divisor_tuples, _rat_inverse, det_int, lattice_index
+
+
+def test_rat_inverse_over_golden_field():
+    m = icosian._E
+    inv = _rat_inverse(m)
+    for i in range(4):
+        for j in range(4):
+            entry = sum((m[i][k] * inv[k][j] for k in range(4)), RAT_ZERO)
+            assert entry == (RAT_ONE if i == j else RAT_ZERO)
+
+
+def test_lattice_index_matches_determinant_ratio():
+    rng = random.Random(311)
+    done = 0
+    while done < 20:
+        sup_rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        mult = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if det_int(sup_rows) == 0 or det_int(mult) == 0:
+            continue
+        sub_rows = [[sum(mult[i][k] * sup_rows[k][j] for k in range(4)) for j in range(4)]
+                    for i in range(4)]
+        if all(sub_rows[i][j] == 0 for i in range(4) for j in range(4) if i != j):
+            continue
+        sub = ExactLattice.from_rows(sub_rows)
+        sup = ExactLattice.from_rows(sup_rows)
+        assert lattice_index(sub, sup) == abs(det_int(sub_rows) // det_int(sup_rows))
+        if abs(det_int(mult)) > 1:
+            with pytest.raises(ValueError):
+                lattice_index(sup, sub)
+        done += 1
+
+
+@pytest.mark.parametrize("n, k", [(12, 4), (36, 3), (625, 4), (360, 2), (1, 3)])
+def test_divisor_tuples_sorted_and_shared(n, k):
+    assert oracle._divisor_tuples is lattice._divisor_tuples
+    tuples = list(_divisor_tuples(n, k))
+    assert tuples == sorted(set(tuples))
+    assert all(math.prod(t) == n for t in tuples)
+    if n <= 36:
+        brute = [t for t in itertools.product(range(1, n + 1), repeat=k) if math.prod(t) == n]
+        assert tuples == brute
+
+
+def test_primes_through_41_are_prime():
+    small = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    assert [p for p in range(60) if _is_prime(p)] == small
+    assert factor_int(41) == [(41, 1)]
+
+
+def test_strong_pseudoprime_to_bases_through_37_is_factored():
+    p, q = 399165290221, 798330580441
+    n = p * q
+    assert n == 318665857834031151167461
+    assert not _is_prime(n)
+    assert factor_int(n) == [(p, 1), (q, 1)]
+    assert f_soc(n) == f_soc(p) * f_soc(q)
+
+
+def test_strong_pseudoprime_to_bases_through_41_is_refused():
+    n = 3317044064679887385961981
+    assert n == 1287836182261 * 2575672364521
+    assert pow(43, n - 1, n) != 1  # base 43 proves it composite
+    with pytest.raises(ValueError):
+        _is_prime(n)
+    with pytest.raises(ValueError):
+        factor_int(n)
+
+
+def test_large_cofactors_still_factor_when_decidable():
+    mersenne = 2**61 - 1
+    assert factor_int(mersenne) == [(mersenne, 1)]
+    # above the deterministic bound, but the bases prove it composite
+    assert factor_int(mersenne * (2**31 - 1)) == [(2**31 - 1, 1), (mersenne, 1)]
