@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .a4 import (
     CARTAN_A4,
+    ConsistencyError,
     CoordSublattice,
     CslResult,
     IrrationalDenominator,
@@ -47,6 +48,8 @@ from .a4 import (
     l_coords,
     l_point,
     l_of_ideal,
+    l_rotation,
+    matches_quat_rotation,
     phi_plus,
     ssl_of,
 )

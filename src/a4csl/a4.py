@@ -13,14 +13,22 @@ module turns the algebra into explicit integer sublattices of A4:
   checked against each other on every call,
 * `denominator_of` computes the exact denominator of the induced
   orthogonal matrix, which is irrational precisely when nr(q) nr(q)' is
-  not a perfect square.
+  not a perfect square,
+* `l_rotation` gives that rotation as an integer matrix in the L basis over
+  its denominator, the canonical form the rotation counts work with.
+
+All three read q x twist(q) on L from one integer table (`_conjugation_matrix`)
+that is quadratic in the Z^8 coordinates of q, so they do no Q(sqrt 5)
+arithmetic per icosian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from .golden import ONE, RAT_ZERO, GoldenInt
@@ -42,6 +50,11 @@ from .lattice import (
     lattice_intersect,
 )
 from .quaternion import Quat, RotationMatrix
+
+
+class ConsistencyError(ArithmeticError):
+    """Two exact computations that must agree did not.  Raised explicitly,
+    so the check also runs under `python -O`."""
 
 
 #: Basis of the twist-fixed lattice, chosen so the Gram matrix below is
@@ -139,6 +152,88 @@ def l_point(coords: Sequence[int]) -> Icosian:
     return Icosian.from_quat(q)
 
 
+# -- the integer conjugation kernel -----------------------------------------
+
+#: index pairs i <= j of the Z^8 basis, in the column order of the table
+_PAIRS: tuple[tuple[int, int], ...] = tuple(
+    (i, j) for i in range(8) for j in range(i, 8))
+
+
+@lru_cache(maxsize=1)
+def _conjugation_table() -> tuple[tuple[int, ...], ...]:
+    """The L-coordinates of x -> q x twist(q), quadratic in q's Z^8 coordinates.
+
+    twist is additive, so for q = sum z_i f_i over `ZBASIS`,
+    q b twist(q) = sum_{i<=j} z_i z_j K_ij(b), where K_ii(b) = f_i b twist(f_i)
+    and K_ij(b) = f_i b twist(f_j) + f_j b twist(f_i) for i < j.  Each K_ij(b)
+    is a twist-fixed icosian, so a point of L.  Row 4*c + k holds coordinate k
+    of K_ij(b_c) for every pair of `_PAIRS`.
+    """
+    quats = [f.quat for f in ZBASIS]
+    twists = [f.quat.twist() for f in ZBASIS]
+    cols = []
+    for i, j in _PAIRS:
+        col = []
+        for b in L_BASIS:
+            image = quats[i] * b * twists[j]
+            if i != j:
+                image = image + quats[j] * b * twists[i]
+            for x in _coords_from_inverse(image, _LB_INV):
+                if not (x.is_integral() and x.is_rational()):
+                    raise ConsistencyError(
+                        f"conjugation table entry {x} for pair {(i, j)} is not an integer")
+                col.append(x.num.a)
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def _conjugation_matrix(zc: Sequence[int]) -> IntMatrix:
+    """Row c is the integer L-coordinates of q b_c twist(q), for the icosian
+    q with Z^8 coordinates zc."""
+    w = [zc[i] * zc[j] for i, j in _PAIRS]
+    flat = [sum(map(mul, w, row)) for row in _conjugation_table()]
+    return tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
+
+
+def l_rotation(q: Icosian) -> tuple[IntMatrix, int]:
+    """The rotation x -> q x twist(q) / s of an admissible icosian q, as an
+    integer matrix over its denominator.
+
+    Returns (M, den) with b_c -> (1/den) sum_k M[k][c] b_k on the L basis,
+    reduced so that den > 0 and gcd(den, content of M) = 1; the pair is
+    therefore a canonical key for the rotation.  Raises NotAdmissibleError
+    when s is irrational, and ConsistencyError unless M^T C M = den^2 C for
+    the Cartan matrix C and det M = den^4.
+    """
+    s = q.scale()  # raises NotAdmissibleError
+    rows = _conjugation_matrix(q.zcoords())
+    g = gcd(s, *(x for row in rows for x in row))
+    m = tuple(tuple(rows[c][k] // g for c in range(4)) for k in range(4))
+    den = s // g
+    cartan = CARTAN_A4
+    cm = [[sum(cartan[i][k] * m[k][j] for k in range(4)) for j in range(4)]
+          for i in range(4)]
+    d2 = den * den
+    if any(sum(m[k][i] * cm[k][j] for k in range(4)) != d2 * cartan[i][j]
+           for i in range(4) for j in range(4)):
+        raise ConsistencyError(f"rotation of {q} does not preserve the A4 form")
+    if det_int(m) != d2 * d2:
+        raise ConsistencyError(f"rotation of {q} does not have determinant +1")
+    return m, den
+
+
+def matches_quat_rotation(rot: RotationMatrix, m: IntMatrix, den: int) -> bool:
+    """Whether the Q(sqrt 5) matrix rot maps each b_c to (1/den) sum_k M[k][c] b_k,
+    i.e. whether (m, den) from `l_rotation` is the same rotation."""
+    for col, b in enumerate(L_BASIS):
+        image = Quat.of(0, 0, 0, 0)
+        for k, bk in enumerate(L_BASIS):
+            image = image + bk * m[k][col]
+        if rot.apply(b) != image / den:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class CoordSublattice:
     """A full-rank sublattice of L in integer L-basis coordinates.
@@ -181,10 +276,9 @@ def ssl_of(p: Icosian) -> CoordSublattice:
     lattice index (nr(p) nr(p)')^2."""
     if not p:
         raise ValueError("the zero icosian spans no sublattice")
-    pt = p.twist()
-    rows = [l_coords(p.quat * b * pt.quat) for b in L_BASIS]
-    sub = CoordSublattice.from_rows(rows)
-    assert sub.index == p.norm_quadruple() ** 2
+    sub = CoordSublattice.from_rows(_conjugation_matrix(p.zcoords()))
+    if sub.index != p.norm_quadruple() ** 2:
+        raise ConsistencyError(f"similar sublattice of {p} has index {sub.index}")
     return sub
 
 
@@ -221,10 +315,12 @@ def _csl_by_intersection(ext: ExtensionPair) -> CoordSublattice:
     meet = lattice_intersect(_I4, rotated)
     basis = []
     for row in meet.basis:
-        assert all(x.denominator == 1 for x in row)
+        if any(x.denominator != 1 for x in row):
+            raise ConsistencyError(f"L meet R(q)L is not integral for {ext.extended}")
         basis.append([int(x) for x in row])
     sub = CoordSublattice.from_rows(basis)
-    assert sub.index == lattice_index(meet, _I4)
+    if sub.index != lattice_index(meet, _I4):
+        raise ConsistencyError(f"HNF of L meet R(q)L changed its index for {ext.extended}")
     return sub
 
 
@@ -237,10 +333,11 @@ def csl_of(q: Icosian) -> CslResult:
     ext = q.extension()  # raises NotPrimitiveError / NotAdmissibleError
     from_ideal = l_of_ideal(ext.extended)
     from_meet = _csl_by_intersection(ext)
-    assert from_ideal == from_meet, (
-        f"ideal and intersection routes disagree for {q}")
-    assert from_ideal.index == ext.sigma, (
-        f"CSL index {from_ideal.index} != sigma {ext.sigma} for {q}")
+    if from_ideal != from_meet:
+        raise ConsistencyError(f"ideal and intersection routes disagree for {q}")
+    if from_ideal.index != ext.sigma:
+        raise ConsistencyError(
+            f"CSL index {from_ideal.index} != sigma {ext.sigma} for {q}")
     return CslResult(
         source=q,
         extension=ext,
@@ -271,15 +368,12 @@ def denominator_of(q: Icosian) -> int | IrrationalDenominator:
     """
     if not q:
         raise ValueError("the zero icosian induces no rotation")
-    qt = q.twist()
-    rows = [l_coords(q.quat * b * qt.quat) for b in L_BASIS]
-    content = 0
-    for row in rows:
-        for x in row:
-            content = gcd(content, x)
+    content = gcd(*(x for row in _conjugation_matrix(q.zcoords()) for x in row))
     n4 = q.norm_quadruple()
     s = isqrt(n4)
     if s * s == n4:
         return s // gcd(s, content)
-    assert n4 % (content * content) == 0
+    if n4 % (content * content):
+        raise ConsistencyError(
+            f"content^2 {content * content} does not divide nr(q) nr(q)' = {n4}")
     return IrrationalDenominator(n4 // (content * content))

@@ -5,8 +5,9 @@ checks, per-icosian similar-sublattice and coincidence computations, shell
 enumeration, and the bundled oracle verification.  All arithmetic output
 is exact; matrices are printed entrywise over Z[tau].
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 domain
-error (zero/non-primitive/non-admissible input).
+Exit codes: 0 success, 1 verification mismatch or failed internal
+consistency check, 2 usage error, 3 domain error
+(zero/non-primitive/non-admissible input).
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotPrimitiveError, NotAdmissibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:  # a failed internal consistency check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -558,12 +558,18 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in range(2, _SMALL_PRIME_BOUND):
-        if p * p > n:
-            break
+    for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    # every larger prime below the bound is 6k - 1 or 6k + 1
+    for p in range(5, _SMALL_PRIME_BOUND, 6):
+        if p * p > n:
+            break
+        for d in (p, p + 2):
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -19,7 +19,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .a4 import CARTAN_A4, csl_of, denominator_of, dual_lattice_gram
+from .a4 import (
+    CARTAN_A4,
+    ConsistencyError,
+    csl_of,
+    denominator_of,
+    dual_lattice_gram,
+    l_rotation,
+    matches_quat_rotation,
+)
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
 from .golden import (
     GoldenInt,
@@ -39,8 +47,15 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # similar sublattices
 
 
+def _as_int(x: object) -> int:
+    n = int(x)
+    if n != x:
+        raise ValueError(f"gram entry {x!r} is not an integer")
+    return n
+
+
 def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
-    g = tuple(tuple(int(x) for x in row) for row in gram)
+    g = tuple(tuple(_as_int(x) for x in row) for row in gram)
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("gram matrix must be square")
@@ -149,7 +164,8 @@ def admissible_nr_divisors(n: int) -> tuple[GoldenInt, ...]:
         out.add(canonical_associate(d))
     for d in out:
         lcm = gi_lcm_std(d, d.conj())
-        assert lcm == GoldenInt(n, 0), (str(d), str(lcm))
+        if lcm != GoldenInt(n, 0):
+            raise ConsistencyError(f"lcm({d}, {d.conj()}) = {lcm}, not {n}")
     return tuple(sorted(out, key=lambda g: (g.a, g.b)))
 
 
@@ -160,22 +176,31 @@ def oracle_soc_count(n: int) -> int:
     icosian whose reduced norm is one of `admissible_nr_divisors(n)`.
     The search enumerates the full shell of icosians at the matching
     trace norm, keeps the primitive ones with the exact reduced norm,
-    collects their rotation matrices, closes under negation, and counts
-    matrices.  The total is a whole number of 120-element cosets of the
-    rotation symmetry group of the lattice; the quotient is returned.
+    collects their rotations as integer L-basis matrices over their
+    denominators (`l_rotation`), closes under negation, and counts them.
+    The first icosian of each norm is also rotated in Q(sqrt 5) and must
+    give the same map.  The total is a whole number of 120-element cosets
+    of the rotation symmetry group of the lattice; the quotient is returned.
     """
-    matrices = set()
+    rotations = set()
     for d in admissible_nr_divisors(n):
         trace = 2 * d.a + d.b
+        reference = True
         for q in enumerate_by_trace_norm(trace):
             if q.nr() != d or not q.is_primitive():
                 continue
-            matrices.add(q.rotation())
-    closed = set(matrices)
-    for r in matrices:
-        closed.add(-r)
+            m, den = l_rotation(q)
+            if reference:
+                if not matches_quat_rotation(q.rotation(), m, den):
+                    raise ConsistencyError(
+                        f"integer and Q(sqrt 5) rotations of {q} disagree")
+                reference = False
+            rotations.add((m, den))
+    closed = set(rotations)
+    for m, den in rotations:
+        closed.add((tuple(tuple(-x for x in row) for row in m), den))
     if len(closed) % 120:
-        raise AssertionError(
+        raise ConsistencyError(
             f"rotation count {len(closed)} is not a multiple of 120"
         )
     return len(closed) // 120

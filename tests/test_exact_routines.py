@@ -78,6 +78,35 @@ def test_strong_pseudoprime_to_bases_through_41_is_refused():
         factor_int(n)
 
 
+def test_trial_division_leaves_large_prime_factors_exact():
+    # no factor below 10^6: the whole trial-division range is walked
+    p, q = 1000003, 1000033
+    assert factor_int(p * q) == [(p, 1), (q, 1)]
+    assert factor_int(2**61 - 1) == [(2**61 - 1, 1)]
+    # factors on both sides of the trial-division bound 2^20
+    below, above = 1048573, 1048583
+    assert _is_prime(below) and _is_prime(above)
+    assert factor_int(below**2 * above) == [(below, 2), (above, 1)]
+    assert factor_int(-(2**5) * 3**4 * 1048571) == [(2, 5), (3, 4), (1048571, 1)]
+
+
+def test_factor_int_matches_naive_trial_division():
+    def naive(n):
+        out, p = [], 2
+        while n > 1:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            if k:
+                out.append((p, k))
+            p += 1
+        return out
+
+    for n in range(1, 3000):
+        assert factor_int(n) == naive(n)
+
+
 def test_large_cofactors_still_factor_when_decidable():
     mersenne = 2**61 - 1
     assert factor_int(mersenne) == [(mersenne, 1)]

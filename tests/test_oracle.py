@@ -1,6 +1,7 @@
 """Oracle cross-checks: exhaustive recounts against the closed forms."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from a4csl.a4 import dual_lattice_gram
 from a4csl.counting import f_soc, f_ssl
 from a4csl.golden import GoldenInt
 from a4csl.oracle import (
+    _check_gram,
     _divisor_tuples,
     admissible_nr_divisors,
     oracle_csl_properties,
@@ -80,6 +82,18 @@ def test_ssl_oracle_input_validation():
         oracle_ssl_count(2, ((1, 2), (3, 4)))  # not symmetric
     with pytest.raises(ValueError):
         oracle_ssl_count(2, ((1, 2), (2, 1)))  # not positive definite
+
+
+def test_check_gram_refuses_non_integral_entries():
+    for gram in (((5 / 2, 1 / 2), (1 / 2, 3 / 2)),
+                 ((Fraction(5, 2), 1), (1, 2)),
+                 ((2, "1"), ("1", 2))):
+        with pytest.raises(ValueError):
+            _check_gram(gram)
+        with pytest.raises(ValueError):
+            oracle_ssl_count(2, gram)
+    # integral values of other types are accepted as the integers they are
+    assert _check_gram(((2.0, Fraction(-1)), (-1, 2))) == ((2, -1), (-1, 2))
 
 
 def test_soc_oracle_matches_formula():
