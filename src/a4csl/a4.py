@@ -31,7 +31,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
-from .golden import ONE, RAT_ZERO, GoldenInt
+from .golden import ONE, RAT_ZERO, ConsistencyError, GoldenInt
 from .icosian import (
     ZBASIS,
     ExtensionPair,
@@ -50,11 +50,6 @@ from .lattice import (
     lattice_intersect,
 )
 from .quaternion import Quat, RotationMatrix
-
-
-class ConsistencyError(ArithmeticError):
-    """Two exact computations that must agree did not.  Raised explicitly,
-    so the check also runs under `python -O`."""
 
 
 #: Basis of the twist-fixed lattice, chosen so the Gram matrix below is
@@ -85,11 +80,13 @@ _LB_INV = _rat_inverse([list(b.components()) for b in L_BASIS])
 
 def _check_basis() -> None:
     for b in L_BASIS:
-        assert b.twist() == b
+        if b.twist() != b:
+            raise ConsistencyError(f"L basis vector {b} is not twist-fixed")
         Icosian.from_quat(b)  # raises if outside the icosian ring
     gram = [[tr_frac(L_BASIS[i].dot(L_BASIS[j])) for j in range(4)]
             for i in range(4)]
-    assert gram == [[Fraction(x) for x in row] for row in CARTAN_A4]
+    if gram != [[Fraction(x) for x in row] for row in CARTAN_A4]:
+        raise ConsistencyError(f"L basis has Gram {gram}, not the A4 Cartan matrix")
 
 
 _check_basis()
@@ -107,7 +104,8 @@ def dual_lattice_gram() -> IntMatrix:
         row = []
         for j in range(n):
             e = 5 * inv[i][j]
-            assert e.denominator == 1
+            if e.denominator != 1:
+                raise ConsistencyError(f"5 C^-1 has non-integral entry {e}")
             row.append(int(e))
         out.append(tuple(row))
     return tuple(out)
@@ -205,8 +203,13 @@ def l_rotation(q: Icosian) -> tuple[IntMatrix, int]:
     when s is irrational, and ConsistencyError unless M^T C M = den^2 C for
     the Cartan matrix C and det M = den^4.
     """
-    s = q.scale()  # raises NotAdmissibleError
-    rows = _conjugation_matrix(q.zcoords())
+    return l_rotation_zcoords(q.zcoords(), q.scale())  # scale raises NotAdmissibleError
+
+
+def l_rotation_zcoords(zc: Sequence[int], s: int) -> tuple[IntMatrix, int]:
+    """`l_rotation` of the icosian with Z^8 coordinates zc and scale s, for
+    callers that already know s."""
+    rows = _conjugation_matrix(zc)
     g = gcd(s, *(x for row in rows for x in row))
     m = tuple(tuple(rows[c][k] // g for c in range(4)) for k in range(4))
     den = s // g
@@ -216,9 +219,9 @@ def l_rotation(q: Icosian) -> tuple[IntMatrix, int]:
     d2 = den * den
     if any(sum(m[k][i] * cm[k][j] for k in range(4)) != d2 * cartan[i][j]
            for i in range(4) for j in range(4)):
-        raise ConsistencyError(f"rotation of {q} does not preserve the A4 form")
+        raise ConsistencyError(f"rotation of {zc} does not preserve the A4 form")
     if det_int(m) != d2 * d2:
-        raise ConsistencyError(f"rotation of {q} does not have determinant +1")
+        raise ConsistencyError(f"rotation of {zc} does not have determinant +1")
     return m, den
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Callable, Iterable, Mapping
 
-from .golden import factor_int, splitting_type
+from .golden import ConsistencyError, factor_int, splitting_type
 
 
 # -- multiplicative machinery ----------------------------------------------
@@ -60,6 +60,14 @@ def _apply_prime_power_rules(n: int, prime_power: Callable[[int, int], int]) -> 
     return total
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den for an Euler-factor coefficient that must be an integer."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"{num} is not divisible by {den}")
+    return q
+
+
 # -- similar sublattices -----------------------------------------------------
 
 def _f_ssl_pp(p: int, r: int) -> int:
@@ -69,15 +77,13 @@ def _f_ssl_pp(p: int, r: int) -> int:
     if kind == "split":
         num = 2 * (1 - p ** (r + 1)) - (r + 1) * (1 - p * p) * p ** r
         den = (1 - p) ** 2
-        assert num % den == 0
-        return num // den
+        return _exact_quotient(num, den)
     # inert
     if r % 2:
         return 0
     num = 2 - p ** r - p ** (r + 2)
     den = 1 - p * p
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(num, den)
 
 
 def f_ssl(m: int) -> int:
@@ -113,8 +119,7 @@ def _f_soc_pp(p: int, r: int) -> int:
         return 6 * 5 ** (2 * r - 1)
     if kind == "split":
         num = (p + 1) * p ** (r - 1) * (p ** (r + 1) + p ** (r - 1) - 2)
-        assert num % (p - 1) == 0
-        return num // (p - 1)
+        return _exact_quotient(num, p - 1)
     # inert
     return p ** (2 * r) + p ** (2 * r - 2)
 
@@ -282,12 +287,14 @@ def _soc_local_series(p: int, terms: int) -> list[int]:
         den = [1, -p - p * p, p ** 3]  # (1 - p x)(1 - p^2 x)
     else:
         num, den = [1, 1], [1, -p * p]
+    # the recurrence below takes den[0] == 1
+    if den[0] != 1:
+        raise ConsistencyError(f"Euler factor denominator {den} is not monic")
     out = []
     for r in range(terms):
         acc = num[r] if r < len(num) else 0
         for i in range(1, min(r, len(den) - 1) + 1):
             acc -= den[i] * out[r - i]
-        assert den[0] == 1
         out.append(acc)
     return out
 

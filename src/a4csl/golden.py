@@ -19,6 +19,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
+class ConsistencyError(ArithmeticError):
+    """Two exact computations that must agree did not.  Raised explicitly,
+    so the check also runs under `python -O`."""
+
+
 def _sign_a_plus_b_sqrt5(a: int, b: int) -> int:
     """Exact sign of a + b*sqrt(5) for integers a, b."""
     if b == 0:
@@ -424,7 +429,8 @@ def gi_gcd(x: GoldenInt | int, y: GoldenInt | int) -> GoldenInt:
     while y:
         ny = abs(y.signed_norm())
         x, y = y, x % y
-        assert abs(y.signed_norm()) < ny or not y  # Euclidean descent
+        if y and abs(y.signed_norm()) >= ny:
+            raise ConsistencyError(f"remainder {y} mod {x} is not smaller in norm")
     return canonical_associate(x)
 
 
@@ -627,7 +633,8 @@ def prime_above(p: int) -> GoldenInt:
     # split: tau = (1 + sqrt 5)/2 mod p gives a root of t^2 - t - 1
     r = (1 + _sqrt_mod(5, p)) * pow(2, p - 2, p) % p
     pi = gi_gcd(GoldenInt(p, 0), GoldenInt(-r, 1))
-    assert pi.norm() == p
+    if pi.norm() != p:
+        raise ConsistencyError(f"prime {pi} above {p} has norm {pi.norm()}")
     return pi
 
 
@@ -664,7 +671,8 @@ def gi_factor(x: GoldenInt | int) -> GoldenFactorization:
                 e += 1
             if e:
                 found.append((prime, e))
-    assert remaining.is_unit(), f"non-unit cofactor {remaining} for {x}"
+    if not remaining.is_unit():
+        raise ConsistencyError(f"non-unit cofactor {remaining} for {x}")
     found.sort(key=lambda fe: (fe[0].norm(), fe[0].a, fe[0].b))
     return GoldenFactorization(remaining, tuple(found))
 

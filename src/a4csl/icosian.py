@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .golden import (
     ONE,
     RAT_ZERO,
+    ConsistencyError,
     GoldenInt,
     GoldenRat,
     gi_gcd,
@@ -151,7 +152,7 @@ class Icosian:
     # -- arithmetic invariants ---------------------------------------------
 
     def nr(self) -> GoldenInt:
-        return self.quat.nr().as_golden_int()
+        return nr_zcoords(self.zcoords())
 
     def trace_norm(self) -> int:
         return self.nr().trace()
@@ -220,16 +221,17 @@ class Icosian:
         n = self.nr()
         m_gi = gi_lcm_std(n, n.conj())
         if m_gi.b != 0 or m_gi.a <= 0:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"lcm(nr, nr') = {m_gi} should be a positive rational integer")
         sigma = m_gi.a
         ratio = m_gi.exact_div(n)
         alpha = gi_sqrt(ratio)
         if alpha is None:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"lcm(nr, nr')/nr = {ratio} should be a square in Z[tau]")
         extended = self * alpha
-        assert extended.nr() == m_gi
+        if extended.nr() != m_gi:
+            raise ConsistencyError(f"extended icosian has nr {extended.nr()}, not {m_gi}")
         return ExtensionPair(extended, extended.twist(), alpha, sigma)
 
     def __str__(self) -> str:
@@ -316,5 +318,6 @@ def enumerate_by_trace_norm(t: int) -> list[Icosian]:
 def norm_one_units() -> tuple[Icosian, ...]:
     """The 120 unit icosians (the H4 root system rescaled to norm 1)."""
     units = tuple(enumerate_by_trace_norm(2))
-    assert len(units) == 120
+    if len(units) != 120:
+        raise ConsistencyError(f"found {len(units)} unit icosians, not 120")
     return units

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -264,9 +265,10 @@ def lattice_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
 
 # -- short vectors and form equivalence ------------------------------------
 
-def _gso_from_gram(a: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Gram-Schmidt data (squared norms B, coefficients mu) straight from a
-    Gram matrix; raises on non-positive-definite input."""
+def _gso_from_gram(a: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Gram-Schmidt data (squared norms B, coefficients mu) as Fractions,
+    straight from an integer or Fraction Gram matrix; raises on
+    non-positive-definite input."""
     n = len(a)
     b = [Fraction(0)] * n
     mu = [[Fraction(0)] * n for _ in range(n)]
@@ -275,54 +277,55 @@ def _gso_from_gram(a: list[list[Fraction]]) -> tuple[list[Fraction], list[list[F
         for j in range(i):
             t = a[i][j] - sum(mu[j][l] * r[i][l] for l in range(j))
             r[i][j] = t
-            mu[i][j] = t / b[j]
-        b[i] = a[i][i] - sum(mu[i][l] * r[i][l] for l in range(i))
+            mu[i][j] = Fraction(t) / b[j]
+        b[i] = Fraction(a[i][i]) - sum(mu[i][l] * r[i][l] for l in range(i))
         if b[i] <= 0:
             raise ValueError("Gram matrix is not positive definite")
     return b, mu
 
 
-def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[RatMatrix, IntMatrix]:
+def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMatrix]:
     """Exact LLL reduction acting on a Gram matrix alone.
 
     Returns (reduced, u) with reduced = u * gram * u^T and u unimodular.
-    delta = 3/4; all arithmetic over Fraction, so the output is exact.
+    delta = 3/4.  The basis changes are integer row operations, so an
+    integer Gram stays integer; only the Gram-Schmidt data (mu, B) are
+    Fractions.  Size reduction updates mu in place (B does not change);
+    mu and B are rebuilt from the Gram only after a swap.
     """
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
+    b, mu = _gso_from_gram(a)
 
-    def row_op(i: int, j: int, q: int) -> None:
-        # basis change b_i -= q*b_j, conjugate the Gram accordingly
-        for k in range(n):
-            a[i][k] -= q * a[j][k]
-        for k in range(n):
-            a[k][i] -= q * a[k][j]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def swap(i: int) -> None:
-        a[i], a[i - 1] = a[i - 1], a[i]
-        for row in a:
-            row[i], row[i - 1] = row[i - 1], row[i]
-        u[i], u[i - 1] = u[i - 1], u[i]
+    def reduce(k: int, j: int) -> None:
+        # b_k -= q*b_j, conjugate the Gram and update row k of mu
+        q = round(mu[k][j])
+        if not q:
+            return
+        for i in range(n):
+            a[k][i] -= q * a[j][i]
+        for i in range(n):
+            a[i][k] -= q * a[i][j]
+        u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+        for l in range(j):
+            mu[k][l] -= q * mu[j][l]
+        mu[k][j] -= q
 
     delta = Fraction(3, 4)
     k = 1
     while k < n:
-        b, mu = _gso_from_gram(a)
-        q = round(mu[k][k - 1])
-        if q:
-            row_op(k, k - 1, q)
-            b, mu = _gso_from_gram(a)
+        reduce(k, k - 1)
         if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
             for j in range(k - 2, -1, -1):
-                _, mu = _gso_from_gram(a)
-                q = round(mu[k][j])
-                if q:
-                    row_op(k, j, q)
+                reduce(k, j)
             k += 1
         else:
-            swap(k)
+            a[k], a[k - 1] = a[k - 1], a[k]
+            for row in a:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            b, mu = _gso_from_gram(a)
             k = max(k - 1, 1)
     return tuple(tuple(x) for x in a), tuple(tuple(r) for r in u)
 
@@ -347,7 +350,7 @@ def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, 
     if bound < 0:
         return
     # x^T G x = sum_i d[i] * (x_i + sum_{j>i} mu[j][i] x_j)^2
-    d, mu = _gso_from_gram([[Fraction(x) for x in row] for row in gram])
+    d, mu = _gso_from_gram(gram)
     x = [0] * n
 
     def rec(i: int, remaining: Fraction, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -382,14 +385,25 @@ def theta_counts(gram: Sequence[Sequence], bound) -> dict[Fraction, int]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _reduced_target(g2: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], dict]:
+    """The LLL-reduced form of a target Gram and its theta counts up to
+    twice its largest diagonal entry, computed once per target."""
+    r2, _ = lll_reduce_gram(g2)  # raises if not positive definite
+    max_diag = max(r2[i][i] for i in range(len(r2)))
+    return r2, theta_counts(r2, 2 * max_diag)
+
+
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
     """Decide integral equivalence U G1 U^T = G2 (U unimodular).
 
     Preconditions: both symmetric positive definite of the same dimension
     and determinant (violations raise ValueError).  Both forms are LLL
     reduced first, then a theta-series prefilter (pair counts at norms up
-    to twice the largest diagonal entry) rejects most inequivalent pairs
-    before the backtracking search over short vectors.
+    to twice the largest diagonal entry of the reduced G2) rejects most
+    inequivalent pairs before the backtracking search over short vectors.
+    The reduced G2 and its theta counts are cached per G2, so a search
+    against one fixed target reduces that target once.
     """
     n = len(g1)
     if len(g2) != n:
@@ -403,17 +417,17 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
         raise ValueError("determinants differ; forms live in different genera")
 
     r1, _ = lll_reduce_gram(g1)  # raises if not positive definite
-    r2, _ = lll_reduce_gram(g2)
+    r2, theta2 = _reduced_target(tuple(map(tuple, g2)))
 
     max_diag = max(r2[i][i] for i in range(n))
-    if theta_counts(r1, 2 * max_diag) != theta_counts(r2, 2 * max_diag):
+    if theta_counts(r1, 2 * max_diag) != theta2:
         return False
 
     by_norm: dict[Fraction, list[tuple[int, ...]]] = {}
     for v, norm in short_vectors(r1, max_diag):
         by_norm.setdefault(norm, []).append(v)
 
-    def inner(u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
+    def inner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         return sum(u[i] * r1[i][j] * v[j] for i in range(n) for j in range(n))
 
     chosen: list[tuple[int, ...]] = []

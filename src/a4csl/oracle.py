@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +28,7 @@ from .a4 import (
     csl_of,
     denominator_of,
     dual_lattice_gram,
-    l_rotation,
+    l_rotation_zcoords,
     matches_quat_rotation,
 )
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
@@ -85,16 +88,29 @@ def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int
     # an even ambient form forces even diagonal on the rescaled form
     self_mod = 2 * m if all(g[i][i] % 2 == 0 for i in range(n)) else m
 
-    def dot(u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+    def times_g(v: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(row[j] * v[j] for j in range(n)) for row in g)
+
+    def dot(u: Sequence[int], gv: Sequence[int]) -> int:
+        return sum(u[i] * gv[i] for i in range(n))
+
+    # x^T G x from the nonzero entries on and above the diagonal
+    terms = [(i, j, g[i][j] * (1 if i == j else 2))
+             for i in range(n) for j in range(i, n) if g[i][j]]
+
+    def norm(v: Sequence[int]) -> int:
+        return sum(c * v[i] * v[j] for i, j, c in terms)
 
     count = 0
     for diag in _divisor_tuples(m * m, n):
 
-        def build(level: int, rows: list[tuple[int, ...]]) -> None:
+        # rows[i] is a fixed row r and grows[i] its product G r, so each
+        # inner product with a fixed row costs n multiplications
+        def build(level: int, rows: list[tuple[int, ...]],
+                  grows: list[tuple[int, ...]]) -> None:
             nonlocal count
             if level < 0:
-                s = [[dot(u, v) for v in rows] for u in rows]
+                s = [[dot(u, gv) for gv in grows] for u in rows]
                 reduced = [[x // m for x in row] for row in s]
                 if forms_equivalent(reduced, g):
                     count += 1
@@ -102,11 +118,11 @@ def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int
 
             def rec(col: int, vec: list[int]) -> None:
                 if col == n:
-                    if dot(vec, vec) % self_mod:
+                    if norm(vec) % self_mod:
                         return
-                    if any(dot(vec, r) % m for r in rows):
+                    if any(dot(vec, gr) % m for gr in grows):
                         return
-                    build(level - 1, [tuple(vec)] + rows)
+                    build(level - 1, [tuple(vec)] + rows, [times_g(vec)] + grows)
                     return
                 for t in range(diag[col]):
                     vec[col] = t
@@ -119,7 +135,7 @@ def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int
 
         # rows are built bottom-up so each new row is pruned against all
         # previously fixed rows before the next level is expanded
-        build(n - 1, [])
+        build(n - 1, [], [])
     return count
 
 
@@ -177,24 +193,25 @@ def oracle_soc_count(n: int) -> int:
     The search enumerates the full shell of icosians at the matching
     trace norm, keeps the primitive ones with the exact reduced norm,
     collects their rotations as integer L-basis matrices over their
-    denominators (`l_rotation`), closes under negation, and counts them.
-    The first icosian of each norm is also rotated in Q(sqrt 5) and must
-    give the same map.  The total is a whole number of 120-element cosets
+    denominators (`l_rotation_zcoords`, one reduced norm per icosian),
+    closes under negation, and counts them.  The first icosian of each
+    norm is also rotated in Q(sqrt 5) and must give the same map.  The total is a whole number of 120-element cosets
     of the rotation symmetry group of the lattice; the quotient is returned.
     """
     rotations = set()
     for d in admissible_nr_divisors(n):
         trace = 2 * d.a + d.b
-        reference = True
+        s = None
         for q in enumerate_by_trace_norm(trace):
             if q.nr() != d or not q.is_primitive():
                 continue
-            m, den = l_rotation(q)
-            if reference:
-                if not matches_quat_rotation(q.rotation(), m, den):
-                    raise ConsistencyError(
-                        f"integer and Q(sqrt 5) rotations of {q} disagree")
-                reference = False
+            first = s is None
+            if first:
+                s = q.scale()  # s^2 = nr(q) nr(q)' = N(d), one value per shell
+            m, den = l_rotation_zcoords(q.zcoords(), s)
+            if first and not matches_quat_rotation(q.rotation(), m, den):
+                raise ConsistencyError(
+                    f"integer and Q(sqrt 5) rotations of {q} disagree")
             rotations.add((m, den))
     closed = set(rotations)
     for m, den in rotations:
@@ -385,14 +402,18 @@ def verify_all(
 
     results: dict[tuple, tuple[dict, float]] = {}
     if threads > 1:
+        # only a failure of the pool itself falls back to serial; an
+        # exception raised by an oracle propagates from pool.map as is
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 for spec, payload, elapsed in pool.map(_run_unit, specs):
                     results[spec] = (payload, elapsed)
-        except Exception:
-            results = {}
-    if not results:
-        for spec in specs:
+        except (BrokenProcessPool, pickle.PicklingError) as exc:
+            print(f"warning: worker pool failed ({type(exc).__name__}: {exc}); "
+                  f"running the {len(specs) - len(results)} unfinished units serially",
+                  file=sys.stderr)
+    for spec in specs:
+        if spec not in results:
             _, payload, elapsed = _run_unit(spec)
             results[spec] = (payload, elapsed)
 

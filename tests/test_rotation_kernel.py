@@ -25,7 +25,7 @@ from a4csl.a4 import (
     matches_quat_rotation,
     ssl_of,
 )
-from a4csl.icosian import Icosian, NotAdmissibleError, enumerate_by_trace_norm
+from a4csl.icosian import Icosian, NotAdmissibleError, enumerate_by_trace_norm, nr_zcoords
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,6 +82,13 @@ def test_kernel_matches_quaternion_products_on_small_shells():
 def test_kernel_matches_quaternion_products_on_drawn_coordinates(zc):
     q = Icosian.from_zcoords(zc)
     assert _conjugation_matrix(zc) == quat_rows(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-5, 5)] * 8))
+def test_integer_norm_matches_quaternion_norm(zc):
+    q = Icosian.from_zcoords(zc)
+    assert nr_zcoords(zc) == q.quat.nr().as_golden_int() == q.nr()
 
 
 def test_ssl_and_denominator_match_the_quaternion_route():
