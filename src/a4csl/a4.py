@@ -17,9 +17,12 @@ module turns the algebra into explicit integer sublattices of A4:
 * `l_rotation` gives that rotation as an integer matrix in the L basis over
   its denominator, the canonical form the rotation counts work with.
 
-All three read q x twist(q) on L from one integer table (`_conjugation_matrix`)
-that is quadratic in the Z^8 coordinates of q, so they do no Q(sqrt 5)
-arithmetic per icosian.
+`ssl_of`, `denominator_of` and `l_rotation` read q x twist(q) on L from one
+integer table (`_conjugation_matrix`) that is quadratic in the Z^8
+coordinates of q, so they do no Q(sqrt 5) arithmetic per icosian.  The
+ideal route of `csl_of` reads its generators from a second integer table
+(`_ideal_table`), linear in those coordinates; only its independent
+intersection route and the printed rotation matrix still use Q(sqrt 5).
 """
 
 from __future__ import annotations
@@ -157,6 +160,17 @@ _PAIRS: tuple[tuple[int, int], ...] = tuple(
     (i, j) for i in range(8) for j in range(i, 8))
 
 
+def _table_l_coords(image: Quat, entry: str) -> tuple[int, int, int, int]:
+    """The L-coordinates of a table entry, which must be integers; a
+    ConsistencyError names the entry otherwise."""
+    out = []
+    for x in _coords_from_inverse(image, _LB_INV):
+        if not (x.is_integral() and x.is_rational()):
+            raise ConsistencyError(f"{entry}: coordinate {x} is not an integer")
+        out.append(x.num.a)
+    return tuple(out)
+
+
 @lru_cache(maxsize=1)
 def _conjugation_table() -> tuple[tuple[int, ...], ...]:
     """The L-coordinates of x -> q x twist(q), quadratic in q's Z^8 coordinates.
@@ -176,11 +190,7 @@ def _conjugation_table() -> tuple[tuple[int, ...], ...]:
             image = quats[i] * b * twists[j]
             if i != j:
                 image = image + quats[j] * b * twists[i]
-            for x in _coords_from_inverse(image, _LB_INV):
-                if not (x.is_integral() and x.is_rational()):
-                    raise ConsistencyError(
-                        f"conjugation table entry {x} for pair {(i, j)} is not an integer")
-                col.append(x.num.a)
+            col += _table_l_coords(image, f"conjugation table, pair {(i, j)}")
         cols.append(col)
     return tuple(zip(*cols))
 
@@ -285,12 +295,33 @@ def ssl_of(p: Icosian) -> CoordSublattice:
     return sub
 
 
+@lru_cache(maxsize=1)
+def _ideal_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry [i][k] holds the L-coordinates of phi_plus(f_i f_k) for f_i, f_k
+    in `ZBASIS`.
+
+    phi_plus(q f) is linear in q, so for q = sum z_i f_i it is
+    sum_i z_i phi_plus(f_i f).  Each phi_plus(f_i f_k) is a twist-fixed
+    icosian, so a point of L.
+    """
+    quats = [f.quat for f in ZBASIS]
+    return tuple(
+        tuple(_table_l_coords(phi_plus(fi * fk), f"ideal table, entry {(i, k)}")
+              for k, fk in enumerate(quats))
+        for i, fi in enumerate(quats))
+
+
 def l_of_ideal(q: Icosian) -> CoordSublattice:
     """The twist symmetrisation of the right ideal qI, as a sublattice of
-    L: the Z-span of q*f + twist(q*f) over a Z-basis f of the ring."""
+    L: the Z-span of q*f + twist(q*f) over a Z-basis f of the ring.
+
+    Row k is sum_i z_i T[i][k] for q's Z^8 coordinates z and the integer
+    table T of `_ideal_table`, so no Q(sqrt 5) arithmetic runs per call."""
     if not q:
         raise ValueError("the zero ideal has no symmetrisation")
-    rows = [l_coords(phi_plus(q.quat * f.quat)) for f in ZBASIS]
+    terms = [(z, t) for z, t in zip(q.zcoords(), _ideal_table()) if z]
+    rows = [[sum(z * t[k][c] for z, t in terms) for c in range(4)]
+            for k in range(8)]
     return CoordSublattice.from_rows(rows)
 
 
@@ -331,8 +362,9 @@ def csl_of(q: Icosian) -> CslResult:
     """Coincidence site lattice of the rotation induced by a primitive
     admissible icosian, computed along two independent routes that are
     required to agree: the symmetrised ideal of the norm-extended
-    quaternion, and the lattice intersection L with R L.  The coincidence
-    index equals the extension norm sigma = lcm(nr q, (nr q)')."""
+    quaternion (integer table, `l_of_ideal`), and the lattice intersection
+    L with R L (rotated in Q(sqrt 5), intersected by one integer HNF).  The
+    coincidence index equals the extension norm sigma = lcm(nr q, (nr q)')."""
     ext = q.extension()  # raises NotPrimitiveError / NotAdmissibleError
     from_ideal = l_of_ideal(ext.extended)
     from_meet = _csl_by_intersection(ext)

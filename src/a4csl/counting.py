@@ -151,21 +151,33 @@ def zeta_golden_coeffs(limit: int) -> list[int]:
     return expand_multiplicative(_zeta_golden_pp, limit)
 
 
-def zeta_icosian_coeffs(limit: int) -> list[int]:
-    """Coefficients c(n) of the right-ideal counting series of the icosian
-    ring, zeta_I(s) = zeta_K(2s) * zeta_K(2s - 1); the mass sits on the
-    perfect squares n = (jk)^2."""
+def _zeta_icosian_sparse(limit: int) -> dict[int, int]:
+    """The nonzero coefficients c(n), n <= limit, of the right-ideal counting
+    series of the icosian ring, zeta_I(s) = zeta_K(2s) * zeta_K(2s - 1);
+    they all sit on the perfect squares n = (jk)^2."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     top = isqrt(limit)
     ak = zeta_golden_coeffs(top) if top >= 1 else [0, 1]
-    out = [0] * (limit + 1)
+    out: dict[int, int] = {}
     for j in range(1, top + 1):
         if not ak[j]:
             continue
         for k in range(1, top // j + 1):
             if ak[k]:
-                out[(j * k) ** 2] += ak[j] * ak[k] * k
+                n = (j * k) ** 2
+                out[n] = out.get(n, 0) + ak[j] * ak[k] * k
+    return out
+
+
+def zeta_icosian_coeffs(limit: int) -> list[int]:
+    """Coefficients c(0..limit) of the right-ideal counting series of the
+    icosian ring, zeta_I(s) = zeta_K(2s) * zeta_K(2s - 1); the mass sits on
+    the perfect squares n = (jk)^2."""
+    sparse = _zeta_icosian_sparse(limit)
+    out = [0] * (limit + 1)
+    for n, c in sparse.items():
+        out[n] = c
     return out
 
 
@@ -173,14 +185,20 @@ def zeta_icosian_coeffs(limit: int) -> list[int]:
 
 def dirichlet_convolve(a: Mapping[int, int], b: Mapping[int, int],
                        limit: int) -> dict[int, int]:
+    """The nonzero coefficients, up to index limit, of the Dirichlet product
+    of two series given sparsely as {index: coefficient}, indices >= 1."""
+    if min(a, default=1) < 1 or min(b, default=1) < 1:
+        raise ValueError("Dirichlet series indices must be positive")
+    terms = sorted((v, y) for v, y in b.items() if y)
     out: dict[int, int] = {}
     for u, x in a.items():
         if u > limit or not x:
             continue
-        for v, y in b.items():
+        top = limit // u
+        for v, y in terms:
+            if v > top:
+                break
             n = u * v
-            if n > limit or not y:
-                continue
             out[n] = out.get(n, 0) + x * y
     return {n: c for n, c in out.items() if c}
 
@@ -231,8 +249,7 @@ def check_ssl_identity(max_scale: int,
     values = f if f is not None else f_ssl_values(max_scale).__getitem__
     limit = max_scale * max_scale
 
-    zi_dense = zeta_icosian_coeffs(limit)
-    zi = {n: c for n, c in enumerate(zi_dense) if c}
+    zi = _zeta_icosian_sparse(limit)
 
     k4 = _fourth_root(limit)
     z4 = {k ** 4: 1 for k in range(1, k4 + 1)}

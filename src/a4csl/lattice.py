@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -251,16 +251,25 @@ def lattice_dual(lat: ExactLattice, gram: Sequence[Sequence[int]] | None = None)
 
 
 def lattice_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
-    """Intersection of two full-rank lattices via duality:
-    (L1 cap L2)* = L1* + L2*."""
+    """Intersection of two full-rank lattices from one integer HNF.
+
+    Scaled by the lcm D of their denominators, the bases are integer
+    matrices A and B.  The rows (a | a), a in A, and (b | 0), b in B,
+    generate a lattice whose vectors with zero left half are exactly
+    (0 | v) for v in A cap B.  In its HNF those vectors are spanned by the
+    last n rows, so their right halves over D are a basis of L1 cap L2.
+    """
     if l1.ambient_dim != l2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if not (l1.is_full_rank() and l2.is_full_rank()):
         raise ValueError("intersection implemented for full-rank lattices")
-    d1 = lattice_dual(l1)
-    d2 = lattice_dual(l2)
-    union = ExactLattice.from_rows(d1.basis + d2.basis, l1.ambient_dim)
-    return lattice_dual(union)
+    n = l1.ambient_dim
+    den = lcm(*(x.denominator for row in l1.basis + l2.basis for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in l1.basis]
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in l2.basis]
+    h = hnf([row + row for row in a] + [row + [0] * n for row in b])
+    return ExactLattice.from_rows(
+        [[Fraction(x, den) for x in row[n:]] for row in h[n:]], n)
 
 
 # -- short vectors and form equivalence ------------------------------------

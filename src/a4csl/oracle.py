@@ -17,8 +17,6 @@ import pickle
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -195,8 +193,9 @@ def oracle_soc_count(n: int) -> int:
     collects their rotations as integer L-basis matrices over their
     denominators (`l_rotation_zcoords`, one reduced norm per icosian),
     closes under negation, and counts them.  The first icosian of each
-    norm is also rotated in Q(sqrt 5) and must give the same map.  The total is a whole number of 120-element cosets
-    of the rotation symmetry group of the lattice; the quotient is returned.
+    norm is also rotated in Q(sqrt 5) and must give the same map.  The
+    total is a whole number of 120-element cosets of the rotation symmetry
+    group of the lattice; the quotient is returned.
     """
     rotations = set()
     for d in admissible_nr_divisors(n):
@@ -402,6 +401,10 @@ def verify_all(
 
     results: dict[tuple, tuple[dict, float]] = {}
     if threads > 1:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # only a failure of the pool itself falls back to serial; an
         # exception raised by an oracle propagates from pool.map as is
         try:

@@ -23,6 +23,24 @@ def test_bad_numbers_exit_two(argv, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "ssl", "--max", "1000001"],
+    ["count", "soc", "--max", "10000000000"],
+    ["series", "soc", "--limit", "1000001"],
+    ["enumerate-icosians", "--trace-norm", "25"],
+])
+def test_sizes_above_their_cap_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert "is above the limit" in capsys.readouterr().err
+
+
+def test_sizes_at_their_cap_are_accepted():
+    parse = build_parser().parse_args
+    assert parse(["count", "soc", "--max", "1000000"]).max == 1_000_000
+    assert parse(["series", "ssl", "--limit", "1000000"]).limit == 1_000_000
+    assert parse(["enumerate-icosians", "--trace-norm", "24"]).trace_norm == 24
+
+
 def test_threads_clamped_to_cpu_count():
     args = build_parser().parse_args(["verify", "--threads", "1000000"])
     assert args.threads == (os.cpu_count() or 1)

@@ -2,6 +2,8 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a4csl.counting import (
     check_soc_identity,
@@ -96,6 +98,21 @@ def test_dirichlet_convolution_with_inverse_gives_delta():
     assert conv == {1: 1}
 
 
+series = st.dictionaries(st.integers(1, 60), st.integers(-3, 3), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series, series, st.integers(0, 50))
+def test_dirichlet_convolve_matches_double_loop(a, b, limit):
+    # zero coefficients and indices above the limit are drawn on purpose
+    naive: dict[int, int] = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if u * v <= limit:
+                naive[u * v] = naive.get(u * v, 0) + x * y
+    assert dirichlet_convolve(a, b, limit) == {n: c for n, c in naive.items() if c}
+
+
 def test_expand_multiplicative_is_multiplicative():
     vals = expand_multiplicative(lambda p, r: p + r, 200)
     rng = random.Random(419)
@@ -156,3 +173,5 @@ def test_bad_arguments():
         check_ssl_identity(0)
     with pytest.raises(ValueError):
         dirichlet_inverse([0, 2, 1])
+    with pytest.raises(ValueError):
+        dirichlet_convolve({0: 1}, {1: 1}, 5)

@@ -1,6 +1,7 @@
 """Failures are reported, never hidden: pool fallback, oracle errors and
 consistency checks under `python -O`."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -49,7 +50,7 @@ def test_broken_pool_falls_back_with_a_warning(monkeypatch, capsys):
         return run_unit(spec)
 
     monkeypatch.setattr(oracle, "_run_unit", counting)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: InProcessPool(max_workers, break_after=2))
     report = oracle.verify_all(threads=2, **SMALL)
     assert report.to_json() == serial
@@ -67,11 +68,25 @@ def test_oracle_error_propagates_without_a_serial_rerun(monkeypatch, capsys):
         raise ConsistencyError("corrupted oracle")
 
     monkeypatch.setattr(oracle, "_run_unit", failing)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     with pytest.raises(ConsistencyError, match="corrupted oracle"):
         oracle.verify_all(threads=2, **SMALL)
     assert len(calls) == 1
     assert capsys.readouterr().err == ""
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool is imported only when verify_all runs with threads > 1
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(SRC)!r})
+        import a4csl, a4csl.cli
+        print(sorted(m for m in sys.modules if m.startswith("multiprocessing")))
+    """)
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_consistency_error_is_shared_by_every_layer():
