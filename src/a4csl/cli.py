@@ -30,22 +30,23 @@ from .icosian import (
     NotAdmissibleError,
     NotPrimitiveError,
     enumerate_by_trace_norm,
+    is_primitive_zcoords,
 )
 from .oracle import verify_all
 
 _PROFILES = {
     # (ssl max, dual ssl max, soc max, csl samples, series limit)
     "smoke": (5, 5, 2, 10, 60),
-    "default": (11, 9, 5, 100, 200),
-    "deep": (12, 10, 6, 1000, 400),
+    "default": (11, 9, 8, 100, 200),
+    "deep": (12, 10, 10, 1000, 400),
 }
 
 
 # The largest accepted sizes; a larger one is a usage error.  Each cap runs
 # within about a minute (measured on 2 shared vCPUs, Python 3.11): `count
-# --max` 10^6 in 2.4 s and 197 MB, `series --limit` 10^6 in up to 18 s and
-# 616 MB (soc), `enumerate-icosians --trace-norm` 24 in 45 s and 149 MB
-# (26 took 59 s).
+# --max` 10^6 in 2.4 s and 197 MB, `series --limit` 10^6 in up to 8.3 s and
+# 205 MB (soc; ssl 3.7 s and 83 MB), `enumerate-icosians --trace-norm` 24
+# in 3.0 s and 55 MB as text, 3.6 s and 165 MB as JSON.
 _MAX_COUNT = 1_000_000
 _MAX_SERIES_LIMIT = 1_000_000
 _MAX_TRACE_NORM = 24
@@ -199,19 +200,20 @@ def _cmd_ssl(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    shell = enumerate_by_trace_norm(args.trace_norm)
+    pairs = enumerate_by_trace_norm(args.trace_norm)
     if args.primitive:
-        shell = [q for q in shell if q.is_primitive()]
+        pairs = [v for v in pairs if is_primitive_zcoords(v)]
+    shell = [w for v in pairs for w in (v, tuple(-x for x in v))]
     if args.format == "json":
         payload = {
             "trace_norm": args.trace_norm,
             "primitive_only": bool(args.primitive),
             "count": len(shell),
-            "zcoords": [list(q.zcoords()) for q in shell],
+            "zcoords": [list(v) for v in shell],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
-        lines = [" ".join(str(c) for c in q.zcoords()) for q in shell]
+        lines = [" ".join(str(c) for c in v) for v in shell]
         lines.append(f"count: {len(shell)}")
         _emit("\n".join(lines), args.out)
     return 0

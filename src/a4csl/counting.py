@@ -268,9 +268,21 @@ def check_ssl_identity(max_scale: int,
     return True
 
 
-def _soc_closed_form_coeffs(limit: int) -> dict[int, int]:
-    """Coefficients of zeta_K(s-1)/(1 + 5^{-s}) * zeta(s) zeta(s-2) /
-    (zeta(2s) zeta(2s-2)) by global sparse convolution."""
+def _times_zeta_shift(coeffs: Iterable[tuple[int, int]], k: int, limit: int) -> list[int]:
+    """Coefficients 0..limit of F(s) * zeta(s - k), F given by its (index,
+    coefficient) pairs: each nonzero F(u) adds F(u) m^k at index u m, in one
+    strided pass, so no table of the zeta coefficients is built."""
+    out = [0] * (limit + 1)
+    for u, x in coeffs:
+        if x and u <= limit:
+            out[u::u] = [y + x * m ** k for y, m in zip(out[u::u], range(1, limit // u + 1))]
+    return out
+
+
+def _soc_closed_form_coeffs(limit: int) -> list[int]:
+    """Coefficients 0..limit of zeta_K(s-1)/(1 + 5^{-s}) * zeta(s) zeta(s-2) /
+    (zeta(2s) zeta(2s-2)): the four sparse factors by sparse convolution,
+    then zeta(s) and zeta(s-2) as divisor-sum passes."""
     ak = zeta_golden_coeffs(limit)
     a = {n: ak[n] * n for n in range(1, limit + 1) if ak[n]}
     b: dict[int, int] = {}
@@ -279,18 +291,15 @@ def _soc_closed_form_coeffs(limit: int) -> dict[int, int]:
         b[power] = sign
         power *= 5
         sign = -sign
-    c = {n: 1 for n in range(1, limit + 1)}
-    d = {n: n * n for n in range(1, limit + 1)}
     mu = _mobius(isqrt(limit))
     e = {k * k: mu[k] for k in range(1, isqrt(limit) + 1) if mu[k]}
     fct = {k * k: mu[k] * k * k for k in range(1, isqrt(limit) + 1) if mu[k]}
 
     out = dirichlet_convolve(a, b, limit)
-    out = dirichlet_convolve(out, c, limit)
-    out = dirichlet_convolve(out, d, limit)
     out = dirichlet_convolve(out, e, limit)
     out = dirichlet_convolve(out, fct, limit)
-    return out
+    dense = _times_zeta_shift(out.items(), 0, limit)
+    return _times_zeta_shift(enumerate(dense), 2, limit)
 
 
 def _soc_local_series(p: int, terms: int) -> list[int]:
@@ -332,7 +341,7 @@ def check_soc_identity(max_index: int,
 
     rhs = _soc_closed_form_coeffs(max_index)
     for n in range(1, max_index + 1):
-        if rhs.get(n, 0) != values(n):
+        if rhs[n] != values(n):
             return False
 
     spf = _smallest_prime_factors(max_index)

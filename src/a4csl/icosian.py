@@ -165,12 +165,7 @@ class Icosian:
         return self.nr().is_unit()
 
     def is_primitive(self) -> bool:
-        g = None
-        for c in self.coords:
-            if not c:
-                continue
-            g = c if g is None else gi_gcd(g, c)
-        return g is not None and g.is_unit()
+        return is_primitive_zcoords(self.zcoords())
 
     def is_admissible(self) -> bool:
         n4 = self.norm_quadruple()
@@ -303,21 +298,32 @@ def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
     return GoldenInt(a, b)
 
 
-def enumerate_by_trace_norm(t: int) -> list[Icosian]:
-    """All icosians q with Tr(nr(q)) = t (both signs, deterministic order)."""
-    out: list[Icosian] = []
-    for v, norm in short_vectors(TRACE_GRAM, t):
-        if norm == t:
-            q = Icosian.from_zcoords(v)
-            out.append(q)
-            out.append(-q)
-    return out
+def is_primitive_zcoords(zc: Sequence[int]) -> bool:
+    """Whether the four Z[tau] coordinates (zc[i] + zc[4+i] tau) have unit
+    content; the running gcd stops at the first unit."""
+    g = None
+    for i in range(4):
+        c = GoldenInt(zc[i], zc[4 + i])
+        if c:
+            g = c if g is None else gi_gcd(g, c)
+            if g.is_unit():
+                return True
+    return False
+
+
+def enumerate_by_trace_norm(t: int) -> list[tuple[int, ...]]:
+    """The Z^8 coordinates of the icosians q with Tr(nr(q)) = t, one of each
+    pair q, -q (deterministic `short_vectors` order)."""
+    return [v for v, norm in short_vectors(TRACE_GRAM, t) if norm == t]
 
 
 @lru_cache(maxsize=1)
 def norm_one_units() -> tuple[Icosian, ...]:
     """The 120 unit icosians (the H4 root system rescaled to norm 1)."""
-    units = tuple(enumerate_by_trace_norm(2))
+    units = []
+    for v in enumerate_by_trace_norm(2):
+        q = Icosian.from_zcoords(v)
+        units += (q, -q)
     if len(units) != 120:
         raise ConsistencyError(f"found {len(units)} unit icosians, not 120")
-    return units
+    return tuple(units)

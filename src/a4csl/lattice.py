@@ -274,23 +274,35 @@ def lattice_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
 
 # -- short vectors and form equivalence ------------------------------------
 
-def _gso_from_gram(a: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Gram-Schmidt data (squared norms B, coefficients mu) as Fractions,
-    straight from an integer or Fraction Gram matrix; raises on
-    non-positive-definite input."""
+def _ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free LDL^T of a positive definite integer or Fraction Gram.
+
+    The Gram is first scaled to integers by the common denominator c of its
+    entries.  Returns (c, D, P): the leading principal minors D[0..n] of
+    c * gram, with D[0] = 1, and the Bareiss numerators P, so that the
+    Gram-Schmidt data are mu[j][i] = P[j][i] / D[i+1] (j > i) and
+    B[i] = D[i+1] / D[i].  Every division in the recurrence is exact.
+    Raises ValueError unless the Gram is positive definite.
+    """
+    c = lcm(*(x.denominator for row in gram for x in row))
+    a = [[x.numerator * (c // x.denominator) for x in row] for row in gram]
     n = len(a)
-    b = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            t = a[i][j] - sum(mu[j][l] * r[i][l] for l in range(j))
-            r[i][j] = t
-            mu[i][j] = Fraction(t) / b[j]
-        b[i] = Fraction(a[i][i]) - sum(mu[i][l] * r[i][l] for l in range(i))
-        if b[i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-    return b, mu
+    d = [1] * (n + 1)
+    p = [[0] * n for _ in range(n)]
+    for k in range(n):
+        pk = p[k]
+        for j in range(k + 1):
+            pj = p[j]
+            u = a[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - pk[i] * pj[i]) // d[i]
+            if j < k:
+                pk[j] = u
+            elif u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[k + 1] = u
+    return c, d, p
 
 
 def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMatrix]:
@@ -298,18 +310,20 @@ def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMat
 
     Returns (reduced, u) with reduced = u * gram * u^T and u unimodular.
     delta = 3/4.  The basis changes are integer row operations, so an
-    integer Gram stays integer; only the Gram-Schmidt data (mu, B) are
-    Fractions.  Size reduction updates mu in place (B does not change);
-    mu and B are rebuilt from the Gram only after a swap.
+    integer Gram stays integer, and the Gram-Schmidt data are kept as the
+    integers D and P of `_ldl`.  Size reduction updates P in place (D does
+    not change); D and P are rebuilt from the Gram only after a swap.
     """
     n = len(gram)
     a = [list(row) for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    b, mu = _gso_from_gram(a)
+    _, d, p = _ldl(a)
 
     def reduce(k: int, j: int) -> None:
-        # b_k -= q*b_j, conjugate the Gram and update row k of mu
-        q = round(mu[k][j])
+        # b_k -= q*b_j with q = round(mu[k][j]), ties to even as round(Fraction)
+        q, rem = divmod(2 * p[k][j] + d[j + 1], 2 * d[j + 1])
+        if not rem and q % 2:
+            q -= 1
         if not q:
             return
         for i in range(n):
@@ -317,15 +331,16 @@ def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMat
         for i in range(n):
             a[i][k] -= q * a[i][j]
         u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+        pk, pj = p[k], p[j]
         for l in range(j):
-            mu[k][l] -= q * mu[j][l]
-        mu[k][j] -= q
+            pk[l] -= q * pj[l]
+        pk[j] -= q * d[j + 1]
 
-    delta = Fraction(3, 4)
     k = 1
     while k < n:
         reduce(k, k - 1)
-        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+        # Lovasz: B[k] >= (3/4 - mu[k][k-1]^2) B[k-1], times 4 D[k] D[k-1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * p[k][k - 1] ** 2:
             for j in range(k - 2, -1, -1):
                 reduce(k, j)
             k += 1
@@ -334,56 +349,50 @@ def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMat
             for row in a:
                 row[k], row[k - 1] = row[k - 1], row[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            b, mu = _gso_from_gram(a)
+            _, d, p = _ldl(a)
             k = max(k - 1, 1)
     return tuple(tuple(x) for x in a), tuple(tuple(r) for r in u)
-
-
-def _floor_sqrt_frac(f: Fraction) -> int:
-    """floor(sqrt(f)) for f >= 0, exactly."""
-    if f < 0:
-        raise ValueError("negative radicand")
-    return isqrt(f.numerator * f.denominator) // f.denominator
 
 
 def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All x != 0 with x^T G x <= bound, one per +-pair, with exact norms.
 
     G must be symmetric positive definite with integer or Fraction
-    entries.  Uses exact Fincke-Pohst style enumeration; the sign
-    convention keeps the representative whose last nonzero coordinate is
-    positive, and the order is deterministic.
+    entries.  Uses exact Fincke-Pohst style enumeration in integers; the
+    sign convention keeps the representative whose last nonzero coordinate
+    is positive, and the order is deterministic.
     """
     n = len(gram)
     bound = Fraction(bound)
     if bound < 0:
         return
-    # x^T G x = sum_i d[i] * (x_i + sum_{j>i} mu[j][i] x_j)^2
-    d, mu = _gso_from_gram(gram)
+    c, d, p = _ldl(gram)
+    # with lam = lcm_i D[i] D[i+1], lam * c * x^T G x is the integer
+    # sum_i w[i] * s_i^2, where w[i] = lam / (D[i] D[i+1]) and
+    # s_i = x_i D[i+1] + sum_{j>i} P[j][i] x_j
+    lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [lam // (d[i] * d[i + 1]) for i in range(n)]
+    scale = lam * c
+    top = scale * bound.numerator // bound.denominator
     x = [0] * n
 
-    def rec(i: int, remaining: Fraction, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def rec(i: int, remaining: int, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         if i < 0:
             if not higher_zero:
-                yield tuple(x), bound - remaining
+                yield tuple(x), Fraction(top - remaining, scale)
             return
-        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
-        # x_i ranges over integers with d[i]*(x_i - center)^2 <= remaining
-        r2 = remaining / d[i]
-        rt = _floor_sqrt_frac(r2)
-        lo = int(center - rt - 1) - 1
-        hi = int(center + rt + 1) + 1
-        start = 0 if higher_zero else lo
-        for xi in range(start, hi + 1):
-            diff = xi - center
-            used = d[i] * diff * diff
-            if used > remaining:
-                continue
+        t = sum(p[j][i] * x[j] for j in range(i + 1, n))
+        di, wi = d[i + 1], w[i]
+        # x_i ranges over the integers with |x_i D[i+1] + t| <= r
+        r = isqrt(remaining // wi)
+        start = 0 if higher_zero else -((r + t) // di)
+        for xi in range(start, (r - t) // di + 1):
+            s = xi * di + t
             x[i] = xi
-            yield from rec(i - 1, remaining - used, higher_zero and xi == 0)
+            yield from rec(i - 1, remaining - wi * s * s, higher_zero and xi == 0)
         x[i] = 0
 
-    yield from rec(n - 1, bound, True)
+    yield from rec(n - 1, top, True)
 
 
 def theta_counts(gram: Sequence[Sequence], bound) -> dict[Fraction, int]:

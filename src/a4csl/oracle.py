@@ -38,7 +38,13 @@ from .golden import (
     prime_above,
     splitting_type,
 )
-from .icosian import Icosian, enumerate_by_trace_norm, norm_one_units
+from .icosian import (
+    Icosian,
+    enumerate_by_trace_norm,
+    is_primitive_zcoords,
+    norm_one_units,
+    nr_zcoords,
+)
 from .lattice import _divisor_tuples, det_int, forms_equivalent
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -189,25 +195,27 @@ def oracle_soc_count(n: int) -> int:
     Every rotation of index n is, up to sign, induced by a primitive
     icosian whose reduced norm is one of `admissible_nr_divisors(n)`.
     The search enumerates the full shell of icosians at the matching
-    trace norm, keeps the primitive ones with the exact reduced norm,
+    trace norm as Z^8 coordinates, one of each pair q, -q (both induce the
+    same map), keeps the primitive ones with the exact reduced norm,
     collects their rotations as integer L-basis matrices over their
-    denominators (`l_rotation_zcoords`, one reduced norm per icosian),
-    closes under negation, and counts them.  The first icosian of each
-    norm is also rotated in Q(sqrt 5) and must give the same map.  The
-    total is a whole number of 120-element cosets of the rotation symmetry
-    group of the lattice; the quotient is returned.
+    denominators (`l_rotation_zcoords`), closes under negation, and counts
+    them.  The first icosian of each norm is also rotated in Q(sqrt 5) and
+    must give the same map.  The total is a whole number of 120-element
+    cosets of the rotation symmetry group of the lattice; the quotient is
+    returned.
     """
     rotations = set()
     for d in admissible_nr_divisors(n):
         trace = 2 * d.a + d.b
         s = None
-        for q in enumerate_by_trace_norm(trace):
-            if q.nr() != d or not q.is_primitive():
+        for v in enumerate_by_trace_norm(trace):
+            if nr_zcoords(v) != d or not is_primitive_zcoords(v):
                 continue
             first = s is None
             if first:
+                q = Icosian.from_zcoords(v)
                 s = q.scale()  # s^2 = nr(q) nr(q)' = N(d), one value per shell
-            m, den = l_rotation_zcoords(q.zcoords(), s)
+            m, den = l_rotation_zcoords(v, s)
             if first and not matches_quat_rotation(q.rotation(), m, den):
                 raise ConsistencyError(
                     f"integer and Q(sqrt 5) rotations of {q} disagree")

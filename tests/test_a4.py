@@ -19,7 +19,14 @@ from a4csl.a4 import (
     ssl_of,
 )
 from a4csl.golden import GoldenInt, TAU
-from a4csl.icosian import Icosian, NotAdmissibleError, NotPrimitiveError, enumerate_by_trace_norm, norm_one_units
+from a4csl.icosian import (
+    Icosian,
+    NotAdmissibleError,
+    NotPrimitiveError,
+    enumerate_by_trace_norm,
+    norm_one_units,
+    nr_zcoords,
+)
 from a4csl.lattice import det_int, forms_equivalent, _rat_inverse
 from a4csl.quaternion import Quat
 
@@ -117,7 +124,7 @@ def test_csl_requires_primitive_and_admissible():
     with pytest.raises(NotPrimitiveError):
         csl_of(Icosian.from_quat(Quat.of(2, 2, 0, 0)))
     shell = enumerate_by_trace_norm(5)
-    bad = next(v for v in shell if v.nr() == GoldenInt(2, 1))
+    bad = next(Icosian.from_zcoords(v) for v in shell if nr_zcoords(v) == GoldenInt(2, 1))
     with pytest.raises(NotAdmissibleError):
         csl_of(bad)
 
@@ -176,7 +183,7 @@ def test_denominator_examples():
     assert denominator_of(q * GoldenInt(3, 0)) == 2  # scale invariant
     assert denominator_of(Icosian.from_quat(Quat.of(1, 0, 0, 0))) == 1
     shell = enumerate_by_trace_norm(5)
-    v = next(w for w in shell if w.nr() == GoldenInt(2, 1))
+    v = next(Icosian.from_zcoords(w) for w in shell if nr_zcoords(w) == GoldenInt(2, 1))
     den = denominator_of(v)
     assert den == IrrationalDenominator(5)
     assert str(den) == "sqrt(5)"

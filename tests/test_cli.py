@@ -1,7 +1,10 @@
 """End-to-end command line tests (exit codes, JSON shapes, determinism)."""
 
+import hashlib
 import itertools
 import json
+
+import pytest
 
 from a4csl.a4 import CARTAN_A4
 from a4csl.cli import main
@@ -88,6 +91,26 @@ def test_enumerate_icosians_unit_shell(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 120
     assert len(payload["zcoords"]) == 120
+
+
+# sha256 of the outputs for trace norms 2..12 in turn, taken before the
+# enumeration returned one coordinate tuple per +- pair
+ENUMERATE_DIGESTS = {
+    ("text", False): "2c264ffe2be6affd6d9f7185fd08493d354b00a6c64f358ca54418d47c40288d",
+    ("text", True): "47fedf1f0c657cc04f5c478442803fd07ff816fe36951af47a8da7b0b7c06882",
+    ("json", False): "744f4d34626231dde34e323b74458ad3b3845e954e67c1de48674a8b6c365c54",
+    ("json", True): "8b60833878819f19209ec180b8874659fc02fcdb61fa8d12a6d4cee92f6ccda9",
+}
+
+
+@pytest.mark.parametrize("fmt, primitive", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_icosians_output_is_pinned(capsys, fmt, primitive):
+    digest = hashlib.sha256()
+    for t in range(2, 13):
+        argv = ["enumerate-icosians", "--trace-norm", str(t), "--format", fmt]
+        assert main(argv + ["--primitive"] * primitive) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ENUMERATE_DIGESTS[fmt, primitive]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a4csl.counting import (
+    _soc_closed_form_coeffs,
     check_soc_identity,
     check_ssl_identity,
     dirichlet_convolve,
@@ -153,6 +154,29 @@ def test_soc_identity_detects_corruption():
         return soc[n] + (1 if n == 8 else 0)
 
     assert not check_soc_identity(60, corrupted_prime_power)
+
+
+def dense_soc_closed_form(limit):
+    """The SOC closed form by sparse convolution with zeta(s) and zeta(s-2)
+    written out as full coefficient dicts."""
+    ak = zeta_golden_coeffs(limit)
+    factors = [{n: ak[n] * n for n in range(1, limit + 1) if ak[n]},
+               {5 ** k: (-1) ** k for k in range(20) if 5 ** k <= limit},
+               {n: 1 for n in range(1, limit + 1)},
+               {n: n * n for n in range(1, limit + 1)}]
+    mu = dirichlet_inverse([0] + [1] * isqrt(limit))
+    factors.append({k * k: mu[k] for k in range(1, isqrt(limit) + 1) if mu[k]})
+    factors.append({k * k: mu[k] * k * k for k in range(1, isqrt(limit) + 1) if mu[k]})
+    out = {1: 1}
+    for f in factors:
+        out = dirichlet_convolve(out, f, limit)
+    return out
+
+
+@pytest.mark.parametrize("limit", [1, 24, 25, 3000])
+def test_soc_closed_form_matches_dense_convolution(limit):
+    dense = dense_soc_closed_form(limit)
+    assert _soc_closed_form_coeffs(limit) == [dense.get(n, 0) for n in range(limit + 1)]
 
 
 def test_representable_indices_small():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt
+from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, gi_gcd
 from a4csl.icosian import (
     ICOSIAN_BASIS,
     TRACE_GRAM,
@@ -13,6 +15,7 @@ from a4csl.icosian import (
     NotPrimitiveError,
     basis_coordinates,
     enumerate_by_trace_norm,
+    is_primitive_zcoords,
     norm_one_units,
     nr_zcoords,
 )
@@ -106,7 +109,8 @@ def box_count_trace_norm(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_shell_sizes_against_box_enumeration(t):
-    assert len(enumerate_by_trace_norm(t)) == box_count_trace_norm(t)
+    # the enumeration returns one of each pair q, -q
+    assert 2 * len(enumerate_by_trace_norm(t)) == box_count_trace_norm(t)
 
 
 def test_unit_group_has_order_120():
@@ -126,9 +130,9 @@ def test_unit_group_has_order_120():
 
 def test_odd_shell_is_nonempty():
     shell = enumerate_by_trace_norm(3)
-    assert len(shell) == 240
+    assert 2 * len(shell) == 240
     for v in shell[:10]:
-        assert v.trace_norm() == 3
+        assert Icosian.from_zcoords(v).trace_norm() == 3
 
 
 def test_right_ideal_equality():
@@ -147,6 +151,19 @@ def test_primitivity():
     assert p.is_primitive()
     assert not (p * GoldenInt(2, 0)).is_primitive()
     assert (p * TAU).is_primitive()  # unit content survives
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=8, max_size=8))
+def test_primitive_zcoords_means_unit_content(zc):
+    coords = [GoldenInt(zc[i], zc[4 + i]) for i in range(4)]
+    content = None
+    for c in coords:
+        if c:
+            content = c if content is None else gi_gcd(content, c)
+    expected = content is not None and content.is_unit()
+    assert is_primitive_zcoords(zc) == expected
+    assert Icosian.from_zcoords(zc).is_primitive() == expected
 
 
 def test_extension_trivial_case():
@@ -188,7 +205,7 @@ def test_extension_requires_primitive():
 def test_non_admissible_icosian():
     shell = enumerate_by_trace_norm(5)
     golden_five = GoldenInt(2, 1)  # 2 + tau, norm 5
-    witnesses = [v for v in shell if v.nr() == golden_five]
+    witnesses = [Icosian.from_zcoords(v) for v in shell if nr_zcoords(v) == golden_five]
     assert witnesses, "2 + tau must be represented by the norm form"
     v = witnesses[0]
     assert v.norm_quadruple() == 5

@@ -97,8 +97,8 @@ def test_check_gram_refuses_non_integral_entries():
 
 
 def test_soc_oracle_matches_formula():
-    for n in (1, 2, 3):
-        assert oracle_soc_count(n) == f_soc(n)
+    for n in range(1, 11):
+        assert oracle_soc_count(n) == f_soc(n), n
 
 
 def test_csl_property_sampler_all_pass():

@@ -1,4 +1,7 @@
-"""Properties of the integral LLL reduction and the form-equivalence test."""
+"""Properties of the integral LLL reduction, the integer shell enumeration,
+the HNF and the form-equivalence test.  The integer LLL and Fincke-Pohst
+routines are compared with the Fraction versions they replaced, kept in
+`fraction_reference`."""
 
 from fractions import Fraction
 
@@ -8,7 +11,10 @@ from hypothesis import strategies as st
 
 from a4csl import lattice
 from a4csl.a4 import CARTAN_A4, dual_lattice_gram
-from a4csl.lattice import _gso_from_gram, det_int, forms_equivalent, lll_reduce_gram
+from a4csl.icosian import TRACE_GRAM
+from a4csl.lattice import det_int, forms_equivalent, hnf, lll_reduce_gram, short_vectors
+import fraction_reference as reference
+from fraction_reference import _gso_from_gram
 
 DUAL = dual_lattice_gram()
 
@@ -66,6 +72,49 @@ def test_lll_reduces_integrally(case):
     assert r == conjugate(v, h)
     assert abs(det_int(v)) == 1
     assert is_lll_reduced(r)
+
+
+def halved(g):
+    """G/2 as Fractions: a half-integral Gram."""
+    return tuple(tuple(Fraction(x, 2) for x in row) for row in g)
+
+
+def grams(min_dim: int):
+    """Integer and half-integral positive definite Grams of dimension
+    min_dim..5, and the A4, dual and icosian trace forms."""
+    return st.one_of(
+        st.sampled_from([CARTAN_A4, DUAL, TRACE_GRAM]),
+        st.integers(min_dim, 5).flatmap(positive_definite),
+        st.integers(min_dim, 5).flatmap(positive_definite).map(halved),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(grams(1), st.fractions(min_value=-1, max_value=6, max_denominator=6))
+def test_short_vectors_match_fraction_enumeration(g, bound):
+    got = list(short_vectors(g, bound))
+    want = list(reference.short_vectors(g, bound))
+    assert got == want  # same vectors in the same order, same norms
+    assert all(type(norm) is Fraction for _, norm in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grams(2).flatmap(lambda g: st.tuples(st.just(g), unimodular(len(g)))))
+def test_lll_matches_fraction_reduction(case):
+    g, u = case
+    h = conjugate(u, g)
+    assert lll_reduce_gram(h) == reference.lll_reduce_gram(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=k, max_size=k),
+    unimodular(k))))
+def test_hnf_is_canonical_under_unimodular_change(case):
+    a, u = case
+    ua = [[sum(u[i][k] * a[k][j] for k in range(len(a))) for j in range(4)]
+          for i in range(len(a))]
+    assert hnf(ua) == hnf(a)
 
 
 @settings(max_examples=60, deadline=None)

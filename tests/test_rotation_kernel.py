@@ -53,9 +53,10 @@ def small_primitive_icosians():
     """One of q, -q for every primitive icosian of trace norm at most 6; the
     kernel and the quaternion route are both even in q."""
     for t in range(1, 7):
-        shell = enumerate_by_trace_norm(t)
-        for q, neg in zip(shell[::2], shell[1::2]):
-            assert neg.zcoords() == tuple(-x for x in q.zcoords())
+        pairs = enumerate_by_trace_norm(t)
+        assert not {tuple(-x for x in v) for v in pairs} & set(pairs)
+        for v in pairs:
+            q = Icosian.from_zcoords(v)
             if q.is_primitive():
                 yield q
 
