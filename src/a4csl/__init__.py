@@ -38,7 +38,6 @@ from .lattice import (
 from .a4 import (
     CARTAN_A4,
     ConsistencyError,
-    CoordSublattice,
     CslResult,
     IrrationalDenominator,
     csl_of,
@@ -52,6 +51,7 @@ from .a4 import (
     matches_quat_rotation,
     phi_plus,
     ssl_of,
+    sublattice_gram,
 )
 from .counting import (
     f_ssl,

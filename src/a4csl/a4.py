@@ -4,7 +4,8 @@
 The twist-fixed icosians form a copy of the A4 root lattice once the
 ambient bilinear form is taken to be Tr(x . y).  Conjugation by an
 icosian q, x -> q x twist(q), preserves that fixed space, and this
-module turns the algebra into explicit integer sublattices of A4:
+module turns the algebra into explicit integer sublattices of A4, each an
+`ExactLattice` in integer L-basis coordinates (den == 1):
 
 * `ssl_of` maps an icosian to the similar sublattice q L twist(q),
 * `csl_of` maps a primitive admissible icosian to its coincidence site
@@ -46,10 +47,9 @@ from .icosian import (
 from .lattice import (
     ExactLattice,
     IntMatrix,
+    _adjugate,
     _rat_inverse,
     det_int,
-    hnf,
-    lattice_index,
     lattice_intersect,
 )
 from .quaternion import Quat, RotationMatrix
@@ -97,21 +97,11 @@ _check_basis()
 
 def dual_lattice_gram() -> IntMatrix:
     """Gram matrix of the dual root lattice, rescaled by det = 5 to be
-    integral (similar-sublattice counts are scale invariant)."""
-    n = 4
-    c = [[Fraction(CARTAN_A4[i][j]) for j in range(n)] for i in range(n)]
-    # adjugate = det * inverse
-    inv = _rat_inverse(c)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = 5 * inv[i][j]
-            if e.denominator != 1:
-                raise ConsistencyError(f"5 C^-1 has non-integral entry {e}")
-            row.append(int(e))
-        out.append(tuple(row))
-    return tuple(out)
+    integral (similar-sublattice counts are scale invariant): 5 C^-1 is the
+    adjugate of the Cartan matrix C."""
+    if det_int(CARTAN_A4) != 5:
+        raise ConsistencyError("the A4 Cartan matrix does not have determinant 5")
+    return tuple(tuple(row) for row in _adjugate(CARTAN_A4))
 
 
 def l_coords_rational(q: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -247,49 +237,25 @@ def matches_quat_rotation(rot: RotationMatrix, m: IntMatrix, den: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoordSublattice:
-    """A full-rank sublattice of L in integer L-basis coordinates.
-
-    `basis` is the canonical HNF basis (rows), `index` its index in L.
-    """
-
-    basis: IntMatrix
-    index: int
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> CoordSublattice:
-        h = hnf(rows)
-        if len(h) != 4:
-            raise ValueError("generators do not span a full-rank sublattice")
-        return CoordSublattice(h, det_int(h))
-
-    def contains(self, coords: Sequence[int]) -> bool:
-        v = list(coords)
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            if v[lead] % row[lead]:
-                return False
-            q = v[lead] // row[lead]
-            v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
-
-    def gram(self, ambient: Sequence[Sequence[int]] = CARTAN_A4) -> IntMatrix:
-        b = self.basis
-        return tuple(
-            tuple(sum(b[i][k] * ambient[k][l] * b[j][l]
-                      for k in range(4) for l in range(4))
-                  for j in range(4))
-            for i in range(4)
-        )
+def sublattice_gram(sub: ExactLattice) -> IntMatrix:
+    """Gram matrix B C B^T, in the A4 form C, of the HNF basis B of an
+    integer sublattice of L."""
+    if sub.den != 1:
+        raise ValueError("the Gram of a rational lattice is not integral")
+    b = sub.basis
+    return tuple(
+        tuple(sum(b[i][k] * CARTAN_A4[k][l] * b[j][l] for k in range(4) for l in range(4))
+              for j in range(len(b)))
+        for i in range(len(b))
+    )
 
 
-def ssl_of(p: Icosian) -> CoordSublattice:
+def ssl_of(p: Icosian) -> ExactLattice:
     """The similar sublattice p L twist(p), of norm scale nr(p) nr(p)' and
-    lattice index (nr(p) nr(p)')^2."""
+    lattice index (nr(p) nr(p)')^2, in integer L-coordinates."""
     if not p:
         raise ValueError("the zero icosian spans no sublattice")
-    sub = CoordSublattice.from_rows(_conjugation_matrix(p.zcoords()))
+    sub = ExactLattice.from_rows(_conjugation_matrix(p.zcoords()))
     if sub.index != p.norm_quadruple() ** 2:
         raise ConsistencyError(f"similar sublattice of {p} has index {sub.index}")
     return sub
@@ -311,7 +277,7 @@ def _ideal_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
         for i, fi in enumerate(quats))
 
 
-def l_of_ideal(q: Icosian) -> CoordSublattice:
+def l_of_ideal(q: Icosian) -> ExactLattice:
     """The twist symmetrisation of the right ideal qI, as a sublattice of
     L: the Z-span of q*f + twist(q*f) over a Z-basis f of the ring.
 
@@ -322,7 +288,7 @@ def l_of_ideal(q: Icosian) -> CoordSublattice:
     terms = [(z, t) for z, t in zip(q.zcoords(), _ideal_table()) if z]
     rows = [[sum(z * t[k][c] for z, t in terms) for c in range(4)]
             for k in range(8)]
-    return CoordSublattice.from_rows(rows)
+    return ExactLattice.from_rows(rows)
 
 
 _I4 = ExactLattice.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
@@ -335,27 +301,18 @@ class CslResult:
     source: Icosian
     extension: ExtensionPair
     rotation: RotationMatrix
-    lattice: CoordSublattice
+    lattice: ExactLattice
     sigma: int
 
 
-def _csl_by_intersection(ext: ExtensionPair) -> CoordSublattice:
+def _csl_by_intersection(ext: ExtensionPair) -> ExactLattice:
     qe, qt, n = ext.extended.quat, ext.twisted.quat, ext.sigma
-    rows = []
-    for b in L_BASIS:
-        img = qe * b * qt
-        rows.append([c / n for c in l_coords_rational(img)])
-    rotated = ExactLattice.from_rows(rows)
+    rotated = ExactLattice.from_rows(
+        [c / n for c in l_coords_rational(qe * b * qt)] for b in L_BASIS)
     meet = lattice_intersect(_I4, rotated)
-    basis = []
-    for row in meet.basis:
-        if any(x.denominator != 1 for x in row):
-            raise ConsistencyError(f"L meet R(q)L is not integral for {ext.extended}")
-        basis.append([int(x) for x in row])
-    sub = CoordSublattice.from_rows(basis)
-    if sub.index != lattice_index(meet, _I4):
-        raise ConsistencyError(f"HNF of L meet R(q)L changed its index for {ext.extended}")
-    return sub
+    if meet.den != 1:
+        raise ConsistencyError(f"L meet R(q)L is not integral for {ext.extended}")
+    return meet
 
 
 def csl_of(q: Icosian) -> CslResult:

@@ -6,8 +6,8 @@ enumeration, and the bundled oracle verification.  All arithmetic output
 is exact; matrices are printed entrywise over Z[tau].
 
 Exit codes: 0 success, 1 verification mismatch or failed internal
-consistency check, 2 usage error, 3 domain error
-(zero/non-primitive/non-admissible input).
+consistency check, 2 usage error (including an --out file that cannot be
+written), 3 domain error (zero/non-primitive/non-admissible input).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Sequence
 
-from .a4 import csl_of, denominator_of, ssl_of
+from .a4 import csl_of, denominator_of, ssl_of, sublattice_gram
 from .counting import (
     check_soc_identity,
     check_ssl_identity,
@@ -173,6 +173,7 @@ def _cmd_csl(args, parser) -> int:
 def _cmd_ssl(args, parser) -> int:
     p = _parse_zcoords(args.coords, parser)
     sub = ssl_of(p)
+    gram = sublattice_gram(sub)
     scale = p.norm_quadruple()
     if args.format == "json":
         payload = {
@@ -181,7 +182,7 @@ def _cmd_ssl(args, parser) -> int:
             "norm_scale": scale,
             "basis": [list(row) for row in sub.basis],
             "index": sub.index,
-            "gram": [list(row) for row in sub.gram()],
+            "gram": [list(row) for row in gram],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
@@ -193,7 +194,7 @@ def _cmd_ssl(args, parser) -> int:
             "similar sublattice (HNF rows):",
             _matrix_text(sub.basis),
             "gram matrix:",
-            _matrix_text(sub.gram()),
+            _matrix_text(gram),
         ]
         _emit("\n".join(lines), args.out)
     return 0
@@ -314,6 +315,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
+    except OSError as exc:  # --out names a file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (NotPrimitiveError, NotAdmissibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

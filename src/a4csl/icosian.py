@@ -184,23 +184,6 @@ class Icosian:
         """The orthogonal matrix of x -> q x twist(q) / scale."""
         return rotation_matrix(self.quat, self.scale())
 
-    def ideal_index(self) -> int:
-        """Index of the right ideal qI in I, i.e. (nr(q) nr(q)')^2."""
-        if not self:
-            raise ValueError("the zero ideal has infinite index")
-        return self.norm_quadruple() ** 2
-
-    def right_ideal_equal(self, other: Icosian) -> bool:
-        """Whether qI = pI, i.e. q^{-1} p is a unit of the ring."""
-        if not (self and other):
-            return not (self or other)
-        u = self.quat.inverse() * other.quat
-        try:
-            v = Icosian.from_quat(u)
-        except ValueError:
-            return False
-        return v.is_unit()
-
     # -- the extension trick --------------------------------------------------
 
     def extension(self) -> ExtensionPair:
@@ -259,23 +242,9 @@ def _zbasis() -> tuple[Icosian, ...]:
 ZBASIS: tuple[Icosian, ...] = _zbasis()
 
 
-def _trace_gram() -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for f in ZBASIS:
-        row = []
-        for g in ZBASIS:
-            # polarisation of nr: (nr(f+g) - nr(f) - nr(g)) / 2
-            pol = (((f.quat + g.quat).nr() - f.quat.nr() - g.quat.nr())
-                   * GoldenRat.make(1, 2))
-            row.append(tr_frac(pol))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-TRACE_GRAM: tuple[tuple[Fraction, ...], ...] = _trace_gram()
-
 # integer tables for nr straight from Z^8 coordinates:
-# nr(c) = (c P c^T)/2 + tau * (c Q c^T)/2
+# nr(c) = (c P c^T)/2 + tau * (c Q c^T)/2, where P + tau Q is the
+# polarisation nr(f+g) - nr(f) - nr(g) of each pair of basis elements
 _P: list[list[int]] = []
 _Q: list[list[int]] = []
 for _f in ZBASIS:
@@ -287,6 +256,11 @@ for _f in ZBASIS:
         _qrow.append(_gi.b)
     _P.append(_prow)
     _Q.append(_qrow)
+
+#: The trace form Tr(nr) on Z^8: Tr((P + tau Q)/2) = (2P + Q)/2 entrywise.
+TRACE_GRAM: tuple[tuple[Fraction, ...], ...] = tuple(
+    tuple(Fraction(2 * p + q, 2) for p, q in zip(prow, qrow))
+    for prow, qrow in zip(_P, _Q))
 
 
 def nr_zcoords(zc: Sequence[int]) -> GoldenInt:

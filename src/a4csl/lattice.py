@@ -1,9 +1,10 @@
 """Exact lattice linear algebra: HNF, sublattice enumeration, duals,
 intersections, short vectors and integral equivalence of quadratic forms.
 
-Everything runs on Python integers and fractions.Fraction, so there is
-no overflow and no rounding anywhere.  Matrices are tuples of tuples,
-rows are generators.
+Everything runs on Python integers, so there is no overflow and no
+rounding anywhere; Fraction input is scaled to integers by its common
+denominator, and a rational lattice is an integer HNF over one denominator
+(`ExactLattice`).  Matrices are tuples of tuples, rows are generators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -90,7 +90,7 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[-1][-1]
+    return sign * a[-1][-1] if n else 1
 
 
 def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -157,37 +157,40 @@ def _rat_inverse(m: Sequence[Sequence]) -> list[list]:
     return [row[n:] for row in a]
 
 
-def _rat_rows(rows: Iterable[Sequence]) -> RatMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _canonical_rat_hnf(rows: RatMatrix) -> RatMatrix:
-    """The unique HNF-shaped basis of the Z-span of rational rows."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in rows]
-    h = hnf(scaled)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in h)
+def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer adjugate, adj(m) m = det(m) I, from the cofactors."""
+    n = len(m)
+    return [[(-1) ** (i + j) * det_int([list(r[:i]) + list(r[i + 1:])
+                                        for k, r in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
 class ExactLattice:
-    """A finitely generated Z-module in Q^n, stored by its canonical basis."""
+    """A finitely generated Z-module in Q^n: the Z-span of basis / den.
+
+    `basis` is the integer HNF of den times the generators, and den is the
+    least positive integer making them integral, so gcd(den, content of
+    basis) = 1 and the pair is canonical.  An integer lattice has den == 1.
+    """
 
     ambient_dim: int
-    basis: RatMatrix  # canonical rational HNF, rows are generators
+    basis: IntMatrix
+    den: int
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], ambient_dim: int | None = None) -> ExactLattice:
-        rat = _rat_rows(rows)
-        if not rat:
+        """The lattice spanned by integer or Fraction rows."""
+        rows = [tuple(r) for r in rows]
+        if not rows:
             raise ValueError("need at least one generator")
-        dim = ambient_dim if ambient_dim is not None else len(rat[0])
-        if any(len(r) != dim for r in rat):
+        dim = ambient_dim if ambient_dim is not None else len(rows[0])
+        if any(len(r) != dim for r in rows):
             raise ValueError("inconsistent row lengths")
-        return ExactLattice(dim, _canonical_rat_hnf(rat))
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return _lowest_terms(
+            dim, hnf([[x.numerator * (den // x.denominator) for x in row] for row in rows]),
+            den)
 
     @property
     def rank(self) -> int:
@@ -196,80 +199,92 @@ class ExactLattice:
     def is_full_rank(self) -> bool:
         return self.rank == self.ambient_dim
 
+    @property
+    def index(self) -> int:
+        """[Z^n : L] for a full-rank integer lattice L: the product of the
+        HNF diagonal.  Raises ValueError for any other lattice."""
+        if self.den != 1 or not self.is_full_rank():
+            raise ValueError("index in Z^n needs a full-rank integer lattice")
+        return prod(row[i] for i, row in enumerate(self.basis))
+
     def contains(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
+        """Whether an integer or Fraction vector lies in the lattice."""
+        if len(vector) != self.ambient_dim:
+            raise ValueError("vector length differs from the ambient dimension")
+        scaled = [x * self.den for x in vector]
+        if any(x.denominator != 1 for x in scaled):
+            return False
+        v = [x.numerator for x in scaled]
         # reduce against the echelon basis
         for row in self.basis:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None:
-                continue
-            if v[lead]:
-                q = v[lead] / row[lead]
-                if q.denominator != 1:
-                    return False
-                v = [a - q * b for a, b in zip(v, row)]
+            lead = next(j for j, x in enumerate(row) if x)
+            q, r = divmod(v[lead], row[lead])
+            if r:
+                return False
+            v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ExactLattice)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
 
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+def _lowest_terms(dim: int, h: IntMatrix, den: int) -> ExactLattice:
+    """The lattice spanned by h / den for an integer HNF h, with den reduced
+    by the content of h; h divided by a common factor is still an HNF."""
+    g = gcd(den, *(x for row in h for x in row))
+    if g > 1:
+        h = tuple(tuple(x // g for x in row) for row in h)
+    return ExactLattice(dim, h, den // g)
 
 
 def lattice_index(sub: ExactLattice, sup: ExactLattice) -> int:
     """Index [sup : sub] for full-rank lattices, sub a sublattice of sup:
-    the ratio of their determinants, which are the products of the
-    diagonals of the triangular canonical bases."""
+    the ratio of their determinants, prod(diagonal) / den^n of each HNF."""
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if not (sub.is_full_rank() and sup.is_full_rank()):
         raise ValueError("index needs full-rank lattices")
-    if not all(sup.contains(row) for row in sub.basis):
+    if lattice_intersect(sub, sup) != sub:
         raise ValueError("first lattice is not a sublattice of the second")
-    index = prod(row[i] for i, row in enumerate(sub.basis)) / prod(
-        row[i] for i, row in enumerate(sup.basis))
-    return int(index)
+    n = sub.ambient_dim
+    return (prod(row[i] for i, row in enumerate(sub.basis)) * sup.den ** n
+            // (prod(row[i] for i, row in enumerate(sup.basis)) * sub.den ** n))
 
 
 def lattice_dual(lat: ExactLattice, gram: Sequence[Sequence[int]] | None = None) -> ExactLattice:
     """Dual lattice {y : <y, x> in Z for all x} w.r.t. an integral Gram
-    (identity by default), for full-rank lattices."""
+    (identity by default), for full-rank lattices.
+
+    With M = G B^T for the integer basis B of lat, the dual basis is
+    den M^-1 = den adj(M) / det(M), so it is built in integers.
+    """
     if not lat.is_full_rank():
         raise ValueError("dual needs a full-rank lattice")
     n = lat.ambient_dim
-    if gram is None:
-        g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    else:
-        g = [[Fraction(x) for x in row] for row in gram]
-    bg = [[sum(g[i][k] * lat.basis[j][k] for k in range(n)) for j in range(n)]
-          for i in range(n)]  # G * B^T
-    w = _rat_inverse(bg)
-    return ExactLattice.from_rows(w, n)
+    g = gram if gram is not None else [[int(i == j) for j in range(n)] for i in range(n)]
+    m = [[sum(g[i][k] * lat.basis[j][k] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    rows = [[lat.den * x for x in row] for row in _adjugate(m)]
+    return _lowest_terms(n, hnf(rows), abs(det_int(m)))
 
 
 def lattice_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
     """Intersection of two full-rank lattices from one integer HNF.
 
-    Scaled by the lcm D of their denominators, the bases are integer
-    matrices A and B.  The rows (a | a), a in A, and (b | 0), b in B,
-    generate a lattice whose vectors with zero left half are exactly
-    (0 | v) for v in A cap B.  In its HNF those vectors are spanned by the
-    last n rows, so their right halves over D are a basis of L1 cap L2.
+    Over the lcm D of their denominators, the bases are integer matrices A
+    and B.  The rows (a | a), a in A, and (b | 0), b in B, generate a
+    lattice whose vectors with zero left half are exactly (0 | v) for v in
+    A cap B.  In its HNF those vectors are spanned by the last n rows, whose
+    right halves are therefore the HNF of A cap B; over D they are a basis
+    of L1 cap L2.
     """
     if l1.ambient_dim != l2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if not (l1.is_full_rank() and l2.is_full_rank()):
         raise ValueError("intersection implemented for full-rank lattices")
     n = l1.ambient_dim
-    den = lcm(*(x.denominator for row in l1.basis + l2.basis for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in l1.basis]
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in l2.basis]
+    den = lcm(l1.den, l2.den)
+    a = [[x * (den // l1.den) for x in row] for row in l1.basis]
+    b = [[x * (den // l2.den) for x in row] for row in l2.basis]
     h = hnf([row + row for row in a] + [row + [0] * n for row in b])
-    return ExactLattice.from_rows(
-        [[Fraction(x, den) for x in row[n:]] for row in h[n:]], n)
+    return _lowest_terms(n, tuple(row[n:] for row in h[n:]), den)
 
 
 # -- short vectors and form equivalence ------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, parse_golden_rat
+from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat
 
 
 def _as_rat(x: GoldenRat | GoldenInt | Fraction | int) -> GoldenRat:
@@ -90,19 +90,9 @@ class Quat:
         return (self.a * self.a + self.b * self.b
                 + self.c * self.c + self.d * self.d)
 
-    def tr(self) -> GoldenRat:
-        """Reduced trace q + conj(q) = 2a."""
-        return self.a + self.a
-
     def twist(self) -> Quat:
         """(a, b, c, d) -> (conj a, conj b, conj d, conj c)."""
         return Quat(self.a.conj(), self.b.conj(), self.d.conj(), self.c.conj())
-
-    def inverse(self) -> Quat:
-        n = self.nr()
-        if not n:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        return self.conj() / n
 
     def dot(self, other: Quat) -> GoldenRat:
         """Componentwise inner product over Q(sqrt 5)."""
@@ -121,17 +111,6 @@ _STANDARD_BASIS = (
     Quat(RAT_ZERO, RAT_ZERO, RAT_ONE, RAT_ZERO),
     Quat(RAT_ZERO, RAT_ZERO, RAT_ZERO, RAT_ONE),
 )
-
-
-def parse_quat(text: str) -> Quat:
-    """Parse "(A,B,C,D)" with golden-rational components."""
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    parts = s.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 components in {text!r}")
-    return Quat(*(parse_golden_rat(p) for p in parts))
 
 
 def _det4(m: list[list[GoldenRat]]) -> GoldenRat:
@@ -170,9 +149,6 @@ class RotationMatrix:
                 acc = acc + self.entries[i][j] * comps[j]
             out.append(acc)
         return Quat(*out)
-
-    def __neg__(self) -> RotationMatrix:
-        return RotationMatrix(tuple(tuple(-e for e in row) for row in self.entries))
 
     def is_orthogonal(self) -> bool:
         m = self.entries

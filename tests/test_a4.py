@@ -5,7 +5,6 @@ import pytest
 
 from a4csl.a4 import (
     CARTAN_A4,
-    CoordSublattice,
     IrrationalDenominator,
     L_BASIS,
     csl_of,
@@ -17,6 +16,7 @@ from a4csl.a4 import (
     l_point,
     phi_plus,
     ssl_of,
+    sublattice_gram,
 )
 from a4csl.golden import GoldenInt, TAU
 from a4csl.icosian import (
@@ -27,7 +27,7 @@ from a4csl.icosian import (
     norm_one_units,
     nr_zcoords,
 )
-from a4csl.lattice import det_int, forms_equivalent, _rat_inverse
+from a4csl.lattice import ExactLattice, det_int, forms_equivalent, _rat_inverse
 from a4csl.quaternion import Quat
 
 
@@ -97,7 +97,7 @@ def test_ssl_is_similar_sublattice():
             continue
         sub = ssl_of(p)
         assert sub.index == m * m
-        g = sub.gram()
+        g = sublattice_gram(sub)
         assert all(x % m == 0 for row in g for x in row)
         scaled = tuple(tuple(x // m for x in row) for row in g)
         assert forms_equivalent(scaled, CARTAN_A4)
@@ -197,8 +197,8 @@ def test_l_of_ideal_full_rank():
 
 
 def test_coord_sublattice_contains():
-    sub = CoordSublattice.from_rows([(2, 0, 0, 0), (0, 1, 0, 0),
-                                     (0, 0, 1, 0), (0, 0, 0, 1)])
+    sub = ExactLattice.from_rows([(2, 0, 0, 0), (0, 1, 0, 0),
+                                  (0, 0, 1, 0), (0, 0, 0, 1)])
     assert sub.index == 2
     assert sub.contains((4, 1, -3, 0))
     assert not sub.contains((1, 0, 0, 0))

@@ -1,5 +1,6 @@
 """Argument validation: bad numbers are usage errors (exit 2) and are
-rejected before any work, or any worker process, starts."""
+rejected before any work, or any worker process, starts.  An --out file
+that cannot be written is a usage error as well."""
 
 import os
 
@@ -45,3 +46,13 @@ def test_threads_clamped_to_cpu_count():
     args = build_parser().parse_args(["verify", "--threads", "1000000"])
     assert args.threads == (os.cpu_count() or 1)
     assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "ssl", "--out", "{tmp}/missing/x"],
+    ["csl", "1", "1", "0", "0", "0", "0", "0", "0", "--out", "{tmp}"],
+])
+def test_unwritable_out_is_one_error_line_with_exit_two(argv, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,21 +8,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from a4csl import a4
-from a4csl.a4 import ConsistencyError, CoordSublattice, csl_of, l_coords, l_of_ideal, phi_plus
+from a4csl.a4 import ConsistencyError, csl_of, l_coords, l_of_ideal, phi_plus
 from a4csl.icosian import ZBASIS, Icosian
 from a4csl.lattice import ExactLattice, lattice_dual, lattice_intersect
 
 
-def quat_ideal(q: Icosian) -> CoordSublattice:
+def quat_ideal(q: Icosian) -> ExactLattice:
     """l_of_ideal by quaternion products, as it was computed before the table."""
-    return CoordSublattice.from_rows(
+    return ExactLattice.from_rows(
         [l_coords(phi_plus(q.quat * f.quat)) for f in ZBASIS])
+
+
+def rational_rows(lat: ExactLattice) -> list[list[Fraction]]:
+    """The basis rows of lat as rationals, basis / den."""
+    return [[Fraction(x, lat.den) for x in row] for row in lat.basis]
 
 
 def dual_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
     """The intersection by duality, (L1 cap L2)* = L1* + L2*."""
     union = ExactLattice.from_rows(
-        lattice_dual(l1).basis + lattice_dual(l2).basis, l1.ambient_dim)
+        rational_rows(lattice_dual(l1)) + rational_rows(lattice_dual(l2)), l1.ambient_dim)
     return lattice_dual(union)
 
 
@@ -69,4 +74,4 @@ def test_hnf_intersection_matches_duality(pair):
     meet = lattice_intersect(l1, l2)
     assert meet == dual_intersect(l1, l2)
     assert meet.is_full_rank()
-    assert all(l1.contains(row) and l2.contains(row) for row in meet.basis)
+    assert all(l1.contains(row) and l2.contains(row) for row in rational_rows(meet))

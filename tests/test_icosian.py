@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, gi_gcd
+from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, GoldenRat, gi_gcd
 from a4csl.icosian import (
     ICOSIAN_BASIS,
     TRACE_GRAM,
@@ -18,6 +18,7 @@ from a4csl.icosian import (
     is_primitive_zcoords,
     norm_one_units,
     nr_zcoords,
+    tr_frac,
 )
 from a4csl.lattice import _rat_inverse
 from a4csl.quaternion import Quat
@@ -60,6 +61,25 @@ def test_ring_closed_under_multiplication_conj_twist():
 def test_trace_gram_has_half_integral_entry():
     assert TRACE_GRAM[0][3] == Fraction(1, 2)
     assert all(TRACE_GRAM[i][i] == 2 for i in range(4))
+    # reference: Tr of the polarisation (nr(f+g) - nr(f) - nr(g)) / 2 over Q(sqrt 5)
+    assert TRACE_GRAM == tuple(
+        tuple(tr_frac(((f.quat + g.quat).nr() - f.quat.nr() - g.quat.nr())
+                      * GoldenRat.make(1, 2)) for g in ZBASIS)
+        for f in ZBASIS)
+
+
+small_zcoords = st.tuples(*[st.integers(-2, 2)] * 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_zcoords, small_zcoords, small_zcoords)
+def test_ring_axioms(a, b, c):
+    u, v, w = (Icosian.from_zcoords(z) for z in (a, b, c))
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert (u + v) * w == u * w + v * w
+    assert nr_zcoords((v * w).zcoords()) == nr_zcoords(b) * nr_zcoords(c)
+    assert (v * w).twist() == w.twist() * v.twist()
 
 
 def test_nr_zcoords_matches_quaternion_norm():
@@ -135,17 +155,6 @@ def test_odd_shell_is_nonempty():
         assert Icosian.from_zcoords(v).trace_norm() == 3
 
 
-def test_right_ideal_equality():
-    p = Icosian.from_quat(Quat.of(1, 1, 0, 0))
-    q = Icosian.from_quat(Quat.of(1, -1, 0, 0))
-    r = Icosian.from_quat(Quat.of(2, 0, 0, 0))
-    assert p.right_ideal_equal(q)
-    assert q.right_ideal_equal(p)
-    assert not p.right_ideal_equal(r)
-    assert p.ideal_index() == 16
-    assert r.ideal_index() == 256
-
-
 def test_primitivity():
     p = Icosian.from_quat(Quat.of(1, 1, 0, 0))
     assert p.is_primitive()
@@ -185,7 +194,8 @@ def test_extension_rescales_norm_and_flips_sign():
     assert ext.sigma == 2
     assert ext.alpha == GoldenInt(-1, 1)  # tau^{-1} = tau - 1
     assert ext.extended == p
-    assert ext.extended.rotation() == -q.rotation()
+    assert ext.extended.rotation().entries == tuple(
+        tuple(-e for e in row) for row in q.rotation().entries)
 
 
 def test_extension_sign_preserved_when_norm_of_alpha_positive():

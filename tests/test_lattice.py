@@ -115,6 +115,8 @@ def test_exact_lattice_contains_and_canonical():
     assert lat.contains((4, 3))
     assert not lat.contains((1, 0))
     assert not lat.contains((2, Fraction(3, 2)))
+    with pytest.raises(ValueError):
+        lat.contains((2, 0, 1))  # a longer vector is not cut to the dimension
     same = ExactLattice.from_rows([(2, 3), (2, -3), (4, 3)])
     assert same == lat
 

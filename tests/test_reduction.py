@@ -1,9 +1,10 @@
 """Properties of the integral LLL reduction, the integer shell enumeration,
-the HNF and the form-equivalence test.  The integer LLL and Fincke-Pohst
-routines are compared with the Fraction versions they replaced, kept in
-`fraction_reference`."""
+the HNF, the canonical `ExactLattice` and the form-equivalence test.  The
+integer LLL and Fincke-Pohst routines are compared with the Fraction
+versions they replaced, kept in `fraction_reference`."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from a4csl import lattice
 from a4csl.a4 import CARTAN_A4, dual_lattice_gram
 from a4csl.icosian import TRACE_GRAM
-from a4csl.lattice import det_int, forms_equivalent, hnf, lll_reduce_gram, short_vectors
+from a4csl.lattice import (
+    ExactLattice,
+    det_int,
+    forms_equivalent,
+    hnf,
+    lll_reduce_gram,
+    short_vectors,
+)
 import fraction_reference as reference
 from fraction_reference import _gso_from_gram
 
@@ -115,6 +123,22 @@ def test_hnf_is_canonical_under_unimodular_change(case):
     ua = [[sum(u[i][k] * a[k][j] for k in range(len(a))) for j in range(4)]
           for i in range(len(a))]
     assert hnf(ua) == hnf(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                      min_size=3, max_size=3), min_size=k, max_size=k),
+    unimodular(k))))
+def test_exact_lattice_is_canonical_under_unimodular_change(case):
+    r, u = case
+    ur = [[sum(u[i][k] * r[k][j] for k in range(len(r))) for j in range(3)]
+          for i in range(len(r))]
+    lat = ExactLattice.from_rows(r, 3)
+    assert ExactLattice.from_rows(ur, 3) == lat
+    assert all(lat.contains(row) for row in r)
+    # den is the least denominator: it shares no factor with the integer basis
+    assert gcd(lat.den, *(x for row in lat.basis for x in row)) == 1
 
 
 @settings(max_examples=60, deadline=None)

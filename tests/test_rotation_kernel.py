@@ -16,7 +16,6 @@ from a4csl import a4
 from a4csl.a4 import (
     L_BASIS,
     ConsistencyError,
-    CoordSublattice,
     IrrationalDenominator,
     _conjugation_matrix,
     denominator_of,
@@ -26,6 +25,7 @@ from a4csl.a4 import (
     ssl_of,
 )
 from a4csl.icosian import Icosian, NotAdmissibleError, enumerate_by_trace_norm, nr_zcoords
+from a4csl.lattice import ExactLattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,7 +95,7 @@ def test_integer_norm_matches_quaternion_norm(zc):
 def test_ssl_and_denominator_match_the_quaternion_route():
     irrational = 0
     for q in sample_icosians(150, seed=5):
-        assert ssl_of(q) == CoordSublattice.from_rows(quat_rows(q))
+        assert ssl_of(q) == ExactLattice.from_rows(quat_rows(q))
         den = denominator_of(q)
         assert den == quat_denominator(q)
         irrational += isinstance(den, IrrationalDenominator)
@@ -145,7 +145,7 @@ def test_consistency_checks_run_under_optimize():
         from a4csl import a4, cli
         if not sys.flags.optimize:
             sys.exit(9)
-        whole = a4.CoordSublattice.from_rows(
+        whole = a4.ExactLattice.from_rows(
             [[int(i == j) for j in range(4)] for i in range(4)])
         a4._csl_by_intersection = lambda ext: whole
         sys.exit(cli.main(["csl", "1", "1", "0", "0", "0", "0", "0", "0"]))
