@@ -1,12 +1,13 @@
 """Brute-force cross-checks for the closed-form counts.
 
 Everything here recounts geometric objects from first principles --
-exhaustive Hermite-normal-form enumeration for similar sublattices,
-shell enumeration in the icosian ring for coincidence rotations, and
-randomized property checks for coincidence site lattices -- so that the
-multiplicative formulas in `counting` can be validated against an
-independent computation.  `verify_all` bundles the checks into a
-machine-readable report.
+exhaustive Hermite-normal-form enumeration for similar sublattices (the
+last coordinate of each row is solved from its congruences mod m, which
+skips exactly the rows that fail them), shell enumeration in the icosian
+ring for coincidence rotations, and randomized property checks for
+coincidence site lattices -- so that the multiplicative formulas in
+`counting` can be validated against an independent computation.
+`verify_all` bundles the checks into a machine-readable report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from math import gcd
+from typing import Iterator, Sequence
 
 from .a4 import (
     CARTAN_A4,
@@ -75,72 +77,102 @@ def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
     return g
 
 
-def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int:
-    """Count sublattices similar to the ambient lattice with norm scale m.
+def _ssl_candidates(m: int, g: IntMatrix) -> Iterator[list[list[int]]]:
+    """Yield the reduced Gram (u G v) // m of every index-m^2 sublattice in
+    Hermite normal form whose inner products are all divisible by m.
 
-    The ambient lattice is described by `gram` (the A4 Cartan matrix by
-    default).  A similar sublattice with multiplier m has index m^2, so
-    the search enumerates every index-m^2 sublattice in Hermite normal
-    form, prunes rows whose inner products are not divisible by m, and
-    keeps the survivors whose rescaled Gram matrix is equivalent to the
-    ambient one.  No multiplicative structure is assumed anywhere.
+    Rows are fixed bottom-up, so each new row is pruned against the rows
+    below it before the next level is expanded.  While the free
+    coordinates of a row are set, its inner products with the fixed rows
+    (mod m) and its norm are carried along; the last coordinate t is then
+    solved from the linear congruences res + t (G r)[n-1] = 0 (mod m),
+    folded into one progression t = start (mod step), and only those t
+    get the quadratic norm test.  A value of t is skipped exactly when one
+    of the divisibility tests fails, so the yielded Grams, and their
+    order, are those of testing every complete row.
     """
-    if m < 1:
-        raise ValueError("norm scale must be a positive integer")
-    g = _check_gram(CARTAN_A4 if gram is None else gram)
     n = len(g)
+    last = n - 1
+    g_ll = g[last][last]
     # an even ambient form forces even diagonal on the rescaled form
     self_mod = 2 * m if all(g[i][i] % 2 == 0 for i in range(n)) else m
 
     def times_g(v: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(row[j] * v[j] for j in range(n)) for row in g)
 
-    def dot(u: Sequence[int], gv: Sequence[int]) -> int:
-        return sum(u[i] * gv[i] for i in range(n))
-
-    # x^T G x from the nonzero entries on and above the diagonal
-    terms = [(i, j, g[i][j] * (1 if i == j else 2))
-             for i in range(n) for j in range(i, n) if g[i][j]]
-
-    def norm(v: Sequence[int]) -> int:
-        return sum(c * v[i] * v[j] for i, j, c in terms)
-
-    count = 0
     for diag in _divisor_tuples(m * m, n):
 
-        # rows[i] is a fixed row r and grows[i] its product G r, so each
-        # inner product with a fixed row costs n multiplications
-        def build(level: int, rows: list[tuple[int, ...]],
-                  grows: list[tuple[int, ...]]) -> None:
-            nonlocal count
-            if level < 0:
-                s = [[dot(u, gv) for gv in grows] for u in rows]
-                reduced = [[x // m for x in row] for row in s]
-                if forms_equivalent(reduced, g):
-                    count += 1
-                return
-
-            def rec(col: int, vec: list[int]) -> None:
-                if col == n:
-                    if norm(vec) % self_mod:
-                        return
-                    if any(dot(vec, gr) % m for gr in grows):
-                        return
-                    build(level - 1, [tuple(vec)] + rows, [times_g(vec)] + grows)
-                    return
-                for t in range(diag[col]):
-                    vec[col] = t
-                    rec(col + 1, vec)
-                vec[col] = 0
-
+        def rows_at(level: int, grows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+            """Every row (0.., diag[level], x..) passing the tests against
+            the fixed rows' products `grows` = G r, in ascending order."""
+            d = diag[level]
             vec = [0] * n
-            vec[level] = diag[level]
-            rec(level + 1, vec)
+            vec[level] = d
+            if level == last:
+                return [tuple(vec)] if d * d * g_ll % self_mod == 0 else []
+            out: list[tuple[int, ...]] = []
 
-        # rows are built bottom-up so each new row is pruned against all
-        # previously fixed rows before the next level is expanded
-        build(n - 1, [], [])
-    return count
+            # res[r] = vec . (G r) and q = vec . G vec for the coordinates set so far
+            def free(col: int, res: list[int], q: int) -> None:
+                # h = sum over c < col of G[col][c] vec[c]; later coordinates are 0
+                h2 = 2 * sum(g[col][c] * vec[c] for c in range(level, col))
+                if col < last:
+                    g_col, g_cc = [gr[col] for gr in grows], g[col][col]
+                    for t in range(diag[col]):
+                        vec[col] = t
+                        free(col + 1, [a + t * b for a, b in zip(res, g_col)],
+                             q + t * (h2 + g_cc * t))
+                    vec[col] = 0
+                    return
+                # fold each a + b t = 0 (mod m) into t = start (mod step), step | m
+                start, step = 0, 1
+                for a, gr in zip(res, grows):
+                    a += gr[last] * start
+                    b = gr[last] * step
+                    k = gcd(b, m)
+                    if a % k:
+                        return
+                    mk = m // k
+                    start += step * (-(a // k) * pow(b // k, -1, mk) % mk)
+                    step *= mk
+                for t in range(start, diag[last], step):
+                    if (q + t * (h2 + g_ll * t)) % self_mod == 0:
+                        vec[last] = t
+                        out.append(tuple(vec))
+                vec[last] = 0
+
+            free(level + 1, [d * gr[level] for gr in grows], d * d * g[level][level])
+            return out
+
+        def build(level: int, rows: list[tuple[int, ...]],
+                  grows: list[tuple[int, ...]]) -> Iterator[list[list[int]]]:
+            if level < 0:
+                yield [[sum(u[i] * gv[i] for i in range(n)) // m for gv in grows]
+                       for u in rows]
+                return
+            for vec in rows_at(level, grows):
+                yield from build(level - 1, [vec] + rows, [times_g(vec)] + grows)
+
+        yield from build(last, [], [])
+
+
+def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int:
+    """Count sublattices similar to the ambient lattice with norm scale m.
+
+    The ambient lattice is described by `gram` (the A4 Cartan matrix by
+    default).  A similar sublattice with multiplier m has index m^2, so
+    the search enumerates every index-m^2 sublattice in Hermite normal
+    form, keeps those whose inner products are all divisible by m (the
+    last coordinate of each row is solved from these linear congruences
+    rather than tried one value at a time, see `_ssl_candidates`), and
+    counts the survivors whose rescaled Gram matrix is equivalent to the
+    ambient one.  No multiplicative structure is assumed anywhere: solving
+    a linear congruence mod m uses nothing about the lattice.
+    """
+    if m < 1:
+        raise ValueError("norm scale must be a positive integer")
+    g = _check_gram(CARTAN_A4 if gram is None else gram)
+    return sum(1 for reduced in _ssl_candidates(m, g) if forms_equivalent(reduced, g))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from a4csl.counting import (
     check_ssl_identity,
     f_soc,
     f_ssl,
-    f_ssl_values,
     representable_ssl_indices,
 )
 from a4csl.golden import GoldenInt, canonical_associate, gi_gcd

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a4csl.golden import (
     ONE,
@@ -11,7 +13,6 @@ from a4csl.golden import (
     GoldenRat,
     canonical_associate,
     factor_int,
-    format_golden,
     gi_factor,
     gi_gcd,
     gi_lcm_std,
@@ -52,6 +53,21 @@ def test_ring_axioms_sampled():
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * y).signed_norm() == x.signed_norm() * y.signed_norm()
         assert (x + y).trace() == x.trace() + y.trace()
+
+
+golden_ints = st.builds(GoldenInt, st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(golden_ints, golden_ints, golden_ints)
+def test_ring_axioms(x, y, z):
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x * y).signed_norm() == x.signed_norm() * y.signed_norm()
+    assert (x + y).trace() == x.trace() + y.trace()
 
 
 def test_euclidean_division_descends():

@@ -4,19 +4,24 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from a4csl.a4 import dual_lattice_gram
+from a4csl.a4 import CARTAN_A4, dual_lattice_gram
 from a4csl.counting import f_soc, f_ssl
 from a4csl.golden import GoldenInt
+from a4csl.lattice import det_int
 from a4csl.oracle import (
     _check_gram,
     _divisor_tuples,
+    _ssl_candidates,
     admissible_nr_divisors,
     oracle_csl_properties,
     oracle_soc_count,
     oracle_ssl_count,
     verify_all,
 )
+from ssl_reference import ssl_candidates as reference_candidates
 
 
 def test_divisor_tuples_cover_and_multiply():
@@ -67,12 +72,44 @@ def test_ssl_oracle_matches_formula_dual():
         assert oracle_ssl_count(m, gram) == f_ssl(m)
 
 
+# A4 with one node of the diagram decoupled
+G_MOD = ((2, 0, 0, 0), (0, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+
+
 def test_ssl_oracle_counts_the_form_not_the_index():
     # decoupling one node of the diagram changes the answer, so the
     # equivalence gate is doing real work
-    g_mod = ((2, 0, 0, 0), (0, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-    assert oracle_ssl_count(4, g_mod) == 7
-    assert oracle_ssl_count(5, g_mod) == 0
+    assert oracle_ssl_count(4, G_MOD) == 7
+    assert oracle_ssl_count(5, G_MOD) == 0
+
+
+def test_ssl_candidates_match_leaf_testing_search_in_four_dimensions():
+    for g in (CARTAN_A4, dual_lattice_gram(), G_MOD):
+        for m in range(1, 13):
+            assert list(_ssl_candidates(m, g)) == reference_candidates(m, g), (g, m)
+
+
+def test_ssl_candidates_match_leaf_testing_search_in_low_dimensions():
+    # the last two forms have an odd diagonal entry, so norms are tested mod m
+    for g in (((3,),), ((2, -1), (-1, 2)), ((2, 1), (1, 3)),
+              ((3, 1, 0), (1, 2, 1), (0, 1, 4))):
+        for m in range(1, 31):
+            assert list(_ssl_candidates(m, g)) == reference_candidates(m, g), (g, m)
+
+
+@st.composite
+def small_forms(draw):
+    """B B^T for a full-rank 2x2 or 3x3 integer matrix B with small entries."""
+    n = draw(st.integers(2, 3))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(lambda rows: det_int(rows) != 0))
+    return tuple(tuple(sum(x * y for x, y in zip(r, s)) for s in b) for r in b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_forms(), st.integers(1, 12))
+def test_ssl_candidates_match_leaf_testing_search_on_drawn_forms(g, m):
+    assert list(_ssl_candidates(m, g)) == reference_candidates(m, g)
 
 
 def test_ssl_oracle_input_validation():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from a4csl.golden import GoldenInt, GoldenRat, TAU
+from a4csl.golden import GoldenInt, GoldenRat
 from a4csl.quaternion import (
     QUAT_ONE,
     Quat,
