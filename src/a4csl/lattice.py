@@ -188,8 +188,6 @@ class ExactLattice:
         if any(len(r) != dim for r in rows):
             raise ValueError("inconsistent row lengths")
         den = lcm(*(x.denominator for row in rows for x in row))
-        if den == 1:
-            return ExactLattice(dim, hnf([[x.numerator for x in row] for row in rows]), 1)
         # den is least: for each prime power p^a || den some entry has p^a in
         # its lowest-terms denominator, so its scaled numerator is prime to
         # p, and gcd(den, content) is already 1

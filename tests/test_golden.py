@@ -43,28 +43,15 @@ def test_norm_and_trace():
     assert GoldenInt(-1, 2).norm() == 5
 
 
-def test_ring_axioms_sampled():
-    rng = random.Random(7)
-    for _ in range(300):
-        x, y, z = rnd_gi(rng), rnd_gi(rng), rnd_gi(rng)
-        assert x * (y + z) == x * y + x * z
-        assert (x * y) * z == x * (y * z)
-        assert x * y == y * x
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert (x * y).signed_norm() == x.signed_norm() * y.signed_norm()
-        assert (x + y).trace() == x.trace() + y.trace()
-
-
 golden_ints = st.builds(GoldenInt, st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(golden_ints, golden_ints, golden_ints)
-def test_ring_axioms(x, y, z):
+def test_ring_axioms_sampled(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert (x + y) * z == x * z + y * z
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x * y).signed_norm() == x.signed_norm() * y.signed_norm()
     assert (x + y).trace() == x.trace() + y.trace()
