@@ -22,8 +22,11 @@ module turns the algebra into explicit integer sublattices of A4, each an
 integer table (`_conjugation_matrix`) that is quadratic in the Z^8
 coordinates of q, so they do no Q(sqrt 5) arithmetic per icosian.  The
 ideal route of `csl_of` reads its generators from a second integer table
-(`_ideal_table`), linear in those coordinates; only its independent
-intersection route and the printed rotation matrix still use Q(sqrt 5).
+(`_ideal_table`), linear in those coordinates.  Its independent
+intersection route builds the one Q(sqrt 5) rotation matrix of the call,
+`q.rotation()`, and intersects L with its image; `csl_of` returns that same
+matrix, so the matrix the `csl` command prints is the one whose CSL is
+checked.
 """
 
 from __future__ import annotations
@@ -81,11 +84,14 @@ def phi_plus(q: Quat) -> Quat:
 _LB_INV = _rat_inverse([list(b.components()) for b in L_BASIS])
 
 
+# the Z^8 coordinates of the L basis; from_quat raises if one is not an icosian
+_L_ZCOORDS = [Icosian.from_quat(b).z for b in L_BASIS]
+
+
 def _check_basis() -> None:
     for b in L_BASIS:
         if b.twist() != b:
             raise ConsistencyError(f"L basis vector {b} is not twist-fixed")
-        Icosian.from_quat(b)  # raises if outside the icosian ring
     gram = [[tr_frac(L_BASIS[i].dot(L_BASIS[j])) for j in range(4)]
             for i in range(4)]
     if gram != [[Fraction(x) for x in row] for row in CARTAN_A4]:
@@ -127,9 +133,8 @@ def l_coords(q: Quat | Icosian) -> tuple[int, int, int, int]:
 
 
 def l_contains(q: Quat | Icosian) -> bool:
-    quat = q.quat if isinstance(q, Icosian) else q
     try:
-        l_coords(quat)
+        l_coords(q)
     except ValueError:
         return False
     return True
@@ -137,10 +142,7 @@ def l_contains(q: Quat | Icosian) -> bool:
 
 def l_point(coords: Sequence[int]) -> Icosian:
     """The lattice point with the given L-basis coordinates."""
-    q = Quat.of(0, 0, 0, 0)
-    for c, b in zip(coords, L_BASIS):
-        q = q + b * c
-    return Icosian.from_quat(q)
+    return Icosian.from_zcoords(sum(map(mul, coords, col)) for col in zip(*_L_ZCOORDS))
 
 
 # -- the integer conjugation kernel -----------------------------------------
@@ -172,7 +174,7 @@ def _conjugation_table() -> tuple[tuple[int, ...], ...]:
     of K_ij(b_c) for every pair of `_PAIRS`.
     """
     quats = [f.quat for f in ZBASIS]
-    twists = [f.quat.twist() for f in ZBASIS]
+    twists = [f.twist() for f in quats]
     cols = []
     for i, j in _PAIRS:
         col = []
@@ -228,13 +230,7 @@ def l_rotation_zcoords(zc: Sequence[int], s: int) -> tuple[IntMatrix, int]:
 def matches_quat_rotation(rot: RotationMatrix, m: IntMatrix, den: int) -> bool:
     """Whether the Q(sqrt 5) matrix rot maps each b_c to (1/den) sum_k M[k][c] b_k,
     i.e. whether (m, den) from `l_rotation` is the same rotation."""
-    for col, b in enumerate(L_BASIS):
-        image = Quat.of(0, 0, 0, 0)
-        for k, bk in enumerate(L_BASIS):
-            image = image + bk * m[k][col]
-        if rot.apply(b) != image / den:
-            return False
-    return True
+    return all(rot.apply(b) == l_point(col).quat / den for b, col in zip(L_BASIS, zip(*m)))
 
 
 def sublattice_gram(sub: ExactLattice) -> IntMatrix:
@@ -305,14 +301,11 @@ class CslResult:
     sigma: int
 
 
-def _csl_by_intersection(ext: ExtensionPair) -> ExactLattice:
-    qe, qt, n = ext.extended.quat, ext.twisted.quat, ext.sigma
-    rotated = ExactLattice.from_rows(
-        [c / n for c in l_coords_rational(qe * b * qt)] for b in L_BASIS)
-    meet = lattice_intersect(_I4, rotated)
-    if meet.den != 1:
-        raise ConsistencyError(f"L meet R(q)L is not integral for {ext.extended}")
-    return meet
+def _csl_by_intersection(rot: RotationMatrix) -> ExactLattice:
+    """L meet R L, with R L spanned by the L-coordinates of R b over the
+    L basis."""
+    rotated = ExactLattice.from_rows(l_coords_rational(rot.apply(b)) for b in L_BASIS)
+    return lattice_intersect(_I4, rotated)
 
 
 def csl_of(q: Icosian) -> CslResult:
@@ -320,23 +313,19 @@ def csl_of(q: Icosian) -> CslResult:
     admissible icosian, computed along two independent routes that are
     required to agree: the symmetrised ideal of the norm-extended
     quaternion (integer table, `l_of_ideal`), and the lattice intersection
-    L with R L (rotated in Q(sqrt 5), intersected by one integer HNF).  The
+    L with R L for the checked Q(sqrt 5) rotation matrix R = `q.rotation()`
+    that the result carries (intersected by one integer HNF).  The
     coincidence index equals the extension norm sigma = lcm(nr q, (nr q)')."""
     ext = q.extension()  # raises NotPrimitiveError / NotAdmissibleError
+    rot = q.rotation()
     from_ideal = l_of_ideal(ext.extended)
-    from_meet = _csl_by_intersection(ext)
-    if from_ideal != from_meet:
+    if from_ideal != _csl_by_intersection(rot):
         raise ConsistencyError(f"ideal and intersection routes disagree for {q}")
     if from_ideal.index != ext.sigma:
         raise ConsistencyError(
             f"CSL index {from_ideal.index} != sigma {ext.sigma} for {q}")
-    return CslResult(
-        source=q,
-        extension=ext,
-        rotation=q.rotation(),
-        lattice=from_ideal,
-        sigma=ext.sigma,
-    )
+    return CslResult(source=q, extension=ext, rotation=rot, lattice=from_ideal,
+                     sigma=ext.sigma)
 
 
 @dataclass(frozen=True)

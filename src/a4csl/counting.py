@@ -268,21 +268,28 @@ def check_ssl_identity(max_scale: int,
     return True
 
 
-def _times_zeta_shift(coeffs: Iterable[tuple[int, int]], k: int, limit: int) -> list[int]:
-    """Coefficients 0..limit of F(s) * zeta(s - k), F given by its (index,
-    coefficient) pairs: each nonzero F(u) adds F(u) m^k at index u m, in one
-    strided pass, so no table of the zeta coefficients is built."""
-    out = [0] * (limit + 1)
-    for u, x in coeffs:
-        if x and u <= limit:
-            out[u::u] = [y + x * m ** k for y, m in zip(out[u::u], range(1, limit // u + 1))]
-    return out
+def _times_zeta_shift(h: list[int], k: int) -> None:
+    """Multiply the series with coefficients h[0..limit] by zeta(s - k) in
+    place, one Euler factor per prime p of a bytearray sieve: h[n p] += p^k
+    h[n] in ascending n, one slice per block p^j <= n < p^(j+1), whose
+    sources all lie below its targets."""
+    limit = len(h) - 1
+    composite = bytearray(limit + 1)
+    for p in range(2, limit + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(range(p * p, limit + 1, p))
+        pk, top, lo = p ** k, limit // p + 1, 1
+        while lo < top:
+            hi = min(lo * p, top)
+            h[lo * p:hi * p:p] = [y + pk * x for y, x in zip(h[lo * p:hi * p:p], h[lo:hi])]
+            lo = hi
 
 
 def _soc_closed_form_coeffs(limit: int) -> list[int]:
     """Coefficients 0..limit of zeta_K(s-1)/(1 + 5^{-s}) * zeta(s) zeta(s-2) /
     (zeta(2s) zeta(2s-2)): the four sparse factors by sparse convolution,
-    then zeta(s) and zeta(s-2) as divisor-sum passes."""
+    then zeta(s) and zeta(s-2) one prime at a time."""
     ak = zeta_golden_coeffs(limit)
     a = {n: ak[n] * n for n in range(1, limit + 1) if ak[n]}
     b: dict[int, int] = {}
@@ -298,8 +305,10 @@ def _soc_closed_form_coeffs(limit: int) -> list[int]:
     out = dirichlet_convolve(a, b, limit)
     out = dirichlet_convolve(out, e, limit)
     out = dirichlet_convolve(out, fct, limit)
-    dense = _times_zeta_shift(out.items(), 0, limit)
-    return _times_zeta_shift(enumerate(dense), 2, limit)
+    h = [out.get(n, 0) for n in range(limit + 1)]
+    _times_zeta_shift(h, 0)
+    _times_zeta_shift(h, 2)
+    return h
 
 
 def _soc_local_series(p: int, terms: int) -> list[int]:

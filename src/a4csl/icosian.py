@@ -1,13 +1,16 @@
 """The icosian ring: the maximal order of the Hamilton quaternions over
 Q(sqrt 5) generated by the 120 unit icosians.
 
-Elements carry both their quaternion value and their exact coordinates
-over Z[tau] in the standard basis
+The standard basis over Z[tau] is
 
-    e1 = 1,  e2 = i,  e3 = (1 + i + j + k)/2,  e4 = ((1-tau) + tau*i + k)/2.
+    e1 = 1,  e2 = i,  e3 = (1 + i + j + k)/2,  e4 = ((1-tau) + tau*i + k)/2,
 
-As a Z-module the ring is free of rank 8 on e1..e4, tau*e1..tau*e4; the
-trace form Tr(nr(x)) makes that Z^8 a positive definite (odd, with some
+so as a Z-module the ring is free of rank 8 on e1..e4, tau*e1..tau*e4.  An
+`Icosian` is its eight integer coordinates in that Z-basis and nothing
+else.  Sums, differences, scaling by a golden integer, the reduced norm and
+primitivity run on those integers; the quaternion value is derived from
+them only where a product, conjugate, twist or printed rotation needs it.
+The trace form Tr(nr(x)) makes Z^8 a positive definite (odd, with some
 half-integral polarisation entries) lattice whose shells this module can
 enumerate exactly.
 """
@@ -18,11 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .golden import (
     ONE,
     RAT_ZERO,
+    TAU,
     ConsistencyError,
     GoldenInt,
     GoldenRat,
@@ -81,12 +86,25 @@ def basis_coordinates(q: Quat) -> tuple[GoldenRat, GoldenRat, GoldenRat, GoldenR
     return _coords_from_inverse(q, _E_INV)
 
 
+# twice the components 1, i, j, k of the Z-basis e1..e4, tau*e1..tau*e4 lie
+# in Z[tau]; _TWICE_AB[k] holds the a and the b parts of component k
+_TWICE: list[list[GoldenInt]] = [[(2 * c * t).as_golden_int() for c in e.components()]
+                                 for t in (1, TAU) for e in ICOSIAN_BASIS]
+_TWICE_AB = [([row[k].a for row in _TWICE], [row[k].b for row in _TWICE]) for k in range(4)]
+
+
+def _twice_components(zc: Sequence[int]) -> list[tuple[int, int]]:
+    """(a, b) with a + b tau twice each component of the icosian with Z^8
+    coordinates zc."""
+    return [(sum(map(mul, zc, a)), sum(map(mul, zc, b))) for a, b in _TWICE_AB]
+
+
 @dataclass(frozen=True, slots=True)
 class Icosian:
-    """An element of the icosian ring with exact Z[tau] coordinates."""
+    """An element of the icosian ring, stored as its Z^8 coordinates z:
+    the Z[tau] coordinate on e_i is z[i] + z[4+i] tau."""
 
-    quat: Quat
-    coords: tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]
+    z: tuple[int, ...]
 
     # -- constructors ------------------------------------------------------
 
@@ -95,53 +113,52 @@ class Icosian:
         xs = basis_coordinates(q)
         if any(not x.is_integral() for x in xs):
             raise ValueError(f"{q} is not in the icosian ring")
-        return Icosian(q, tuple(x.as_golden_int() for x in xs))
-
-    @staticmethod
-    def from_coords(coords: Iterable[GoldenInt]) -> Icosian:
-        cs = tuple(coords)
-        if len(cs) != 4:
-            raise ValueError("need exactly four coordinates")
-        q = Quat.of(0, 0, 0, 0)
-        for c, e in zip(cs, ICOSIAN_BASIS):
-            q = q + e * c
-        return Icosian(q, cs)
+        return Icosian(tuple(x.num.a for x in xs) + tuple(x.num.b for x in xs))
 
     @staticmethod
     def from_zcoords(zc: Iterable[int]) -> Icosian:
         z = tuple(zc)
         if len(z) != 8:
             raise ValueError("need exactly eight integer coordinates")
-        return Icosian.from_coords(
-            GoldenInt(z[i], z[4 + i]) for i in range(4)
-        )
+        if not all(isinstance(x, int) for x in z):
+            raise TypeError(f"coordinates {z!r} are not all ints")
+        return Icosian(z)
 
     def zcoords(self) -> tuple[int, ...]:
-        return tuple(c.a for c in self.coords) + tuple(c.b for c in self.coords)
+        return self.z
+
+    @property
+    def coords(self) -> tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]:
+        """The Z[tau] coordinates on e1..e4."""
+        z = self.z
+        return tuple(GoldenInt(z[i], z[4 + i]) for i in range(4))
+
+    @property
+    def quat(self) -> Quat:
+        """The quaternion value, each component summed in integers over 2."""
+        return Quat(*(GoldenRat.make(GoldenInt(a, b), 2) for a, b in _twice_components(self.z)))
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other: Icosian) -> Icosian:
-        return Icosian(self.quat + other.quat,
-                       tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Icosian(tuple(map(add, self.z, other.z)))
 
     def __sub__(self, other: Icosian) -> Icosian:
-        return Icosian(self.quat - other.quat,
-                       tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Icosian(tuple(map(sub, self.z, other.z)))
 
     def __neg__(self) -> Icosian:
-        return Icosian(-self.quat, tuple(-c for c in self.coords))
+        return Icosian(tuple(-x for x in self.z))
 
     def __mul__(self, other) -> Icosian:
         if isinstance(other, Icosian):
             return Icosian.from_quat(self.quat * other.quat)
         if isinstance(other, (GoldenInt, int)):
-            g = other if isinstance(other, GoldenInt) else GoldenInt(other, 0)
-            return Icosian(self.quat * g, tuple(c * g for c in self.coords))
+            cs = [c * other for c in self.coords]
+            return Icosian(tuple(c.a for c in cs) + tuple(c.b for c in cs))
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.z)
 
     def conj(self) -> Icosian:
         return Icosian.from_quat(self.quat.conj())
@@ -152,7 +169,7 @@ class Icosian:
     # -- arithmetic invariants ---------------------------------------------
 
     def nr(self) -> GoldenInt:
-        return nr_zcoords(self.zcoords())
+        return nr_zcoords(self.z)
 
     def trace_norm(self) -> int:
         return self.nr().trace()
@@ -165,7 +182,7 @@ class Icosian:
         return self.nr().is_unit()
 
     def is_primitive(self) -> bool:
-        return is_primitive_zcoords(self.zcoords())
+        return is_primitive_zcoords(self.z)
 
     def is_admissible(self) -> bool:
         n4 = self.norm_quadruple()
@@ -194,7 +211,7 @@ class Icosian:
         Requires q primitive (unit coordinate content) and admissible.
         """
         if not self.is_primitive():
-            raise NotPrimitiveError(f"{self.quat} has non-unit content")
+            raise NotPrimitiveError(f"{self} has non-unit content")
         s = self.scale()  # raises NotAdmissibleError if need be
         n = self.nr()
         m_gi = gi_lcm_std(n, n.conj())
@@ -232,44 +249,23 @@ class ExtensionPair:
 
 # -- the trace form on the rank-8 Z-module --------------------------------
 
-def _zbasis() -> tuple[Icosian, ...]:
-    tau_scaled = tuple(Icosian.from_quat(e * GoldenInt(0, 1))
-                       for e in ICOSIAN_BASIS)
-    plain = tuple(Icosian.from_quat(e) for e in ICOSIAN_BASIS)
-    return plain + tau_scaled
+#: The Z-basis of the ring, the unit vectors of Z^8.
+ZBASIS: tuple[Icosian, ...] = tuple(
+    Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 
-
-ZBASIS: tuple[Icosian, ...] = _zbasis()
-
-
-# integer tables for nr straight from Z^8 coordinates:
-# nr(c) = (c P c^T)/2 + tau * (c Q c^T)/2, where P + tau Q is the
-# polarisation nr(f+g) - nr(f) - nr(g) of each pair of basis elements
-_P: list[list[int]] = []
-_Q: list[list[int]] = []
-for _f in ZBASIS:
-    _prow, _qrow = [], []
-    for _g in ZBASIS:
-        _pol2 = ((_f.quat + _g.quat).nr() - _f.quat.nr() - _g.quat.nr())
-        _gi = _pol2.as_golden_int()
-        _prow.append(_gi.a)
-        _qrow.append(_gi.b)
-    _P.append(_prow)
-    _Q.append(_qrow)
-
-#: The trace form Tr(nr) on Z^8: Tr((P + tau Q)/2) = (2P + Q)/2 entrywise.
+#: The trace form Tr(nr) on Z^8: entry (i, j) is Tr(sum_k c_k(f_i) c_k(f_j))
+#: over the components c_k, which _TWICE holds doubled, hence the 4.
 TRACE_GRAM: tuple[tuple[Fraction, ...], ...] = tuple(
-    tuple(Fraction(2 * p + q, 2) for p, q in zip(prow, qrow))
-    for prow, qrow in zip(_P, _Q))
+    tuple(Fraction(sum((s * t).trace() for s, t in zip(fi, fj)), 4) for fj in _TWICE)
+    for fi in _TWICE)
 
 
 def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
-    """Reduced norm as a golden integer, straight from Z^8 coordinates."""
-    a = sum(zc[i] * _P[i][j] * zc[j] for i in range(8) for j in range(i, 8)
-            ) - sum(_P[i][i] * zc[i] * zc[i] for i in range(8)) // 2
-    b = sum(zc[i] * _Q[i][j] * zc[j] for i in range(8) for j in range(i, 8)
-            ) - sum(_Q[i][i] * zc[i] * zc[i] for i in range(8)) // 2
-    return GoldenInt(a, b)
+    """Reduced norm as a golden integer, straight from Z^8 coordinates: the
+    sum of the squared components, with (a + b tau)^2 = a^2 + b^2 + (2a + b) b tau."""
+    parts = _twice_components(zc)
+    return GoldenInt(sum(a * a + b * b for a, b in parts) // 4,
+                     sum((2 * a + b) * b for a, b in parts) // 4)
 
 
 def is_primitive_zcoords(zc: Sequence[int]) -> bool:

@@ -7,7 +7,10 @@ whose fixed points, inside the icosian ring, form the A4 lattice.
 
 A quaternion q with |q * twist(q)| = n (a positive integer) induces the
 orthogonal map x -> q*x*twist(q)/n; `rotation_matrix` returns it as an
-exact 4x4 matrix over Q(sqrt 5), checked orthogonal with determinant +1.
+exact 4x4 matrix over Q(sqrt 5), always checked orthogonal with
+determinant +1.  Icosians are integer coordinates (`icosian.Icosian`); this
+module gives their products, conjugates and twists, and the rotation
+matrix that `a4.csl_of` checks and the `csl` command prints.
 """
 
 from __future__ import annotations
@@ -15,19 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat
+from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, _coerce_rat
 
 
 def _as_rat(x: GoldenRat | GoldenInt | Fraction | int) -> GoldenRat:
-    if isinstance(x, GoldenRat):
-        return x
-    if isinstance(x, GoldenInt):
-        return GoldenRat(x, 1)
-    if isinstance(x, int):
-        return GoldenRat(GoldenInt(x, 0), 1)
     if isinstance(x, Fraction):
-        return GoldenRat.make(GoldenInt(x.numerator, 0), x.denominator)
-    raise TypeError(f"cannot interpret {x!r} as a quaternion coefficient")
+        return GoldenRat.make(x.numerator, x.denominator)
+    r = _coerce_rat(x)
+    if r is NotImplemented:
+        raise TypeError(f"cannot interpret {x!r} as a quaternion coefficient")
+    return r
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,12 +105,7 @@ class Quat:
 
 QUAT_ONE = Quat(RAT_ONE, RAT_ZERO, RAT_ZERO, RAT_ZERO)
 
-_STANDARD_BASIS = (
-    QUAT_ONE,
-    Quat(RAT_ZERO, RAT_ONE, RAT_ZERO, RAT_ZERO),
-    Quat(RAT_ZERO, RAT_ZERO, RAT_ONE, RAT_ZERO),
-    Quat(RAT_ZERO, RAT_ZERO, RAT_ZERO, RAT_ONE),
-)
+_STANDARD_BASIS = tuple(Quat.of(*(int(i == j) for j in range(4))) for i in range(4))
 
 
 def _det4(m: list[list[GoldenRat]]) -> GoldenRat:
@@ -169,12 +164,11 @@ class RotationMatrix:
                          for row in self.entries)
 
 
-def rotation_matrix(q: Quat, scale: int, check: bool = True) -> RotationMatrix:
+def rotation_matrix(q: Quat, scale: int) -> RotationMatrix:
     """Matrix of x -> q*x*twist(q)/scale in the standard basis 1, i, j, k.
 
     scale must be the positive integer with scale^2 = nr(q)*nr(twist q);
-    the result is then orthogonal with determinant +1 (verified when
-    check is true).
+    the result is then orthogonal with determinant +1, which is verified.
     """
     if not q:
         raise ValueError("zero quaternion induces no rotation")
@@ -191,9 +185,8 @@ def rotation_matrix(q: Quat, scale: int, check: bool = True) -> RotationMatrix:
         cols.append(image.components())
     entries = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
     m = RotationMatrix(entries)
-    if check:
-        if not m.is_orthogonal():
-            raise ArithmeticError("rotation image is not orthogonal")
-        if m.det() != RAT_ONE:
-            raise ArithmeticError("rotation has determinant != +1")
+    if not m.is_orthogonal():
+        raise ArithmeticError("rotation image is not orthogonal")
+    if m.det() != RAT_ONE:
+        raise ArithmeticError("rotation has determinant != +1")
     return m

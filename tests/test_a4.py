@@ -18,7 +18,7 @@ from a4csl.a4 import (
     ssl_of,
     sublattice_gram,
 )
-from a4csl.golden import GoldenInt, TAU
+from a4csl.golden import ConsistencyError, GoldenInt, TAU
 from a4csl.icosian import (
     Icosian,
     NotAdmissibleError,
@@ -28,7 +28,7 @@ from a4csl.icosian import (
     nr_zcoords,
 )
 from a4csl.lattice import ExactLattice, det_int, forms_equivalent, _rat_inverse
-from a4csl.quaternion import Quat
+from a4csl.quaternion import Quat, RotationMatrix
 
 
 def random_icosian(rng, lo=-2, hi=2):
@@ -118,6 +118,18 @@ def test_csl_of_one_plus_i():
         image = res.rotation.apply(p.quat)
         on_l = l_contains(image)
         assert on_l == res.lattice.contains(coords)
+
+
+def test_transposed_rotation_makes_csl_of_raise(monkeypatch):
+    # the intersection route rotates L by the very matrix csl_of returns, so
+    # a wrong matrix, here the inverse rotation, fails the ideal cross-check
+    q = Icosian.from_zcoords((2, 1, 0, 0, 0, 0, 0, 0))
+    assert csl_of(q).sigma == 5
+    rotation = Icosian.rotation
+    monkeypatch.setattr(Icosian, "rotation",
+                        lambda self: RotationMatrix(tuple(zip(*rotation(self).entries))))
+    with pytest.raises(ConsistencyError, match="ideal and intersection routes disagree"):
+        csl_of(q)
 
 
 def test_csl_requires_primitive_and_admissible():

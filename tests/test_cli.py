@@ -113,6 +113,48 @@ def test_enumerate_icosians_output_is_pinned(capsys, fmt, primitive):
     assert digest.hexdigest() == ENUMERATE_DIGESTS[fmt, primitive]
 
 
+def first_primitive_admissible(count):
+    out = []
+    for zc in itertools.product((-1, 0, 1), repeat=8):
+        q = Icosian.from_zcoords(zc)
+        if q.is_primitive() and q.is_admissible():
+            out.append(zc)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} samples")
+
+
+# sha256 of the outputs for the first 40 primitive admissible icosians with
+# coordinates in {-1, 0, 1}, in turn, taken before icosians were stored as
+# their Z^8 coordinates alone
+ICOSIAN_DIGESTS = {
+    ("csl", "text"): "f961c3983490808e104ea343f72534e0a68d1af5117faf99a523bbb76f1a9de7",
+    ("csl", "json"): "5e1c19a53866bf5adfb8f64d730219a1c452ead934b4184fb50b9e917712b244",
+    ("ssl", "text"): "2f6685c91173e8487658bc26f1c7f499b558b5758594c46c71b365e15ae8aba0",
+    ("ssl", "json"): "14a830b0c6826bb20128ecf5f15bcbabb55740aacd937c3801fb3219b2bbef84",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(ICOSIAN_DIGESTS))
+def test_csl_and_ssl_output_is_pinned(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for zc in first_primitive_admissible(40):
+        assert main([command, *map(str, zc), "--format", fmt]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ICOSIAN_DIGESTS[command, fmt]
+
+
+@pytest.mark.parametrize("command", ["csl", "ssl"])
+def test_comma_list_may_start_negative(capsys, command):
+    zc = ["-1", "1", "0", "0", "0", "0", "0", "0"]
+    assert main([command, *zc]) == 0
+    spaced = capsys.readouterr().out
+    assert main([command, ",".join(zc)]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main([command, ",".join(zc) + ",", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == [-1, 1, 0, 0, 0, 0, 0, 0]
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["count"]) == 2
     assert main(["no-such-command"]) == 2
@@ -124,6 +166,8 @@ def test_verify_smoke_profile(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--profile", "smoke", "--format", "json",
                  "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1679c874b007f0f82511d054a12e7692ba6d486e371d19de4c235e55ca3299fb")
     payload = json.loads(out.read_text())
     assert payload["ok"] is True
     assert [s["name"] for s in payload["sections"]] == [

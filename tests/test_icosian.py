@@ -69,6 +69,28 @@ def test_trace_gram_has_half_integral_entry():
 
 
 small_zcoords = st.tuples(*[st.integers(-2, 2)] * 8)
+wide_zcoords = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 8)
+golden_ints = st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_zcoords, wide_zcoords, golden_ints, st.integers(-50, 50))
+def test_integer_operations_match_quaternions(a, b, g, n):
+    v, w = Icosian.from_zcoords(a), Icosian.from_zcoords(b)
+    assert Icosian.from_quat(v.quat) == v
+    assert v.coords == tuple(x.as_golden_int() for x in basis_coordinates(v.quat))
+    assert (v + w).quat == v.quat + w.quat
+    assert (v - w).quat == v.quat - w.quat
+    assert (-v).quat == -v.quat
+    assert (v * g).quat == v.quat * g
+    assert (v * n).quat == v.quat * n
+    assert bool(v) == bool(v.quat)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), "1", None])
+def test_from_zcoords_rejects_non_int(bad):
+    with pytest.raises(TypeError):
+        Icosian.from_zcoords((1, 0, 0, 0, 0, 0, 0, bad))
 
 
 @settings(max_examples=40, deadline=None)
