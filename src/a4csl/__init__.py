@@ -10,8 +10,6 @@ from .golden import (
     gi_lcm_std,
     gi_sqrt,
     canonical_associate,
-    parse_golden_int,
-    parse_golden_rat,
 )
 from .quaternion import Quat, RotationMatrix, rotation_matrix
 from .icosian import (
@@ -26,13 +24,11 @@ from .lattice import (
     ExactLattice,
     hnf,
     det_int,
-    enumerate_sublattices,
     forms_equivalent,
     lll_reduce_gram,
     short_vectors,
     theta_counts,
     lattice_intersect,
-    lattice_index,
     lattice_dual,
 )
 from .a4 import (
@@ -43,7 +39,6 @@ from .a4 import (
     csl_of,
     denominator_of,
     dual_lattice_gram,
-    l_contains,
     l_coords,
     l_point,
     l_of_ideal,
@@ -60,7 +55,6 @@ from .counting import (
     f_soc_values,
     expand_multiplicative,
     zeta_golden_coeffs,
-    zeta_icosian_coeffs,
     check_ssl_identity,
     check_soc_identity,
     representable_ssl_indices,

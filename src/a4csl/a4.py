@@ -132,14 +132,6 @@ def l_coords(q: Quat | Icosian) -> tuple[int, int, int, int]:
     return tuple(int(x) for x in rat)
 
 
-def l_contains(q: Quat | Icosian) -> bool:
-    try:
-        l_coords(q)
-    except ValueError:
-        return False
-    return True
-
-
 def l_point(coords: Sequence[int]) -> Icosian:
     """The lattice point with the given L-basis coordinates."""
     return Icosian.from_zcoords(sum(map(mul, coords, col)) for col in zip(*_L_ZCOORDS))

@@ -7,7 +7,8 @@ is exact; matrices are printed entrywise over Z[tau].
 
 Exit codes: 0 success, 1 verification mismatch or failed internal
 consistency check, 2 usage error (including an --out file that cannot be
-written), 3 domain error (zero/non-primitive/non-admissible input).
+written), 3 domain error (zero/non-primitive/non-admissible input).  A
+stdout pipe closed by its reader ends the command with exit 0.
 """
 
 from __future__ import annotations
@@ -320,9 +321,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        status = args.func(args, parser)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return status
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # the interpreter flushes stdout at exit; give it somewhere to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:  # --out names a file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -170,17 +170,6 @@ def _zeta_icosian_sparse(limit: int) -> dict[int, int]:
     return out
 
 
-def zeta_icosian_coeffs(limit: int) -> list[int]:
-    """Coefficients c(0..limit) of the right-ideal counting series of the
-    icosian ring, zeta_I(s) = zeta_K(2s) * zeta_K(2s - 1); the mass sits on
-    the perfect squares n = (jk)^2."""
-    sparse = _zeta_icosian_sparse(limit)
-    out = [0] * (limit + 1)
-    for n, c in sparse.items():
-        out[n] = c
-    return out
-
-
 # -- exact sparse Dirichlet arithmetic ---------------------------------------
 
 def dirichlet_convolve(a: Mapping[int, int], b: Mapping[int, int],

@@ -12,7 +12,6 @@ what `norm` returns.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -182,9 +181,6 @@ class GoldenInt:
     def __mod__(self, other: GoldenInt | int) -> GoldenInt:
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: GoldenInt | int) -> GoldenInt:
-        return divmod(self, other)[0]
-
     # -- presentation ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -212,7 +208,6 @@ def _coerce_strict(x: GoldenInt | int) -> GoldenInt:
 ZERO = GoldenInt(0, 0)
 ONE = GoldenInt(1, 0)
 TAU = GoldenInt(0, 1)
-TAU_INV = GoldenInt(-1, 1)      # tau^-1 = tau - 1
 TAU_SQ = GoldenInt(1, 1)        # tau^2 = tau + 1
 TAU_SQ_INV = GoldenInt(2, -1)   # tau^-2 = 2 - tau
 
@@ -240,44 +235,6 @@ def format_golden(a, b) -> str:
     return "".join(parts)
 
 
-_TERM_RE = re.compile(r"^(?P<coeff>[+-]?(?:\d+(?:/\d+)?)?)(?P<tau>\*?t)?$")
-
-
-def _parse_terms(text: str) -> tuple[Fraction, Fraction]:
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty golden-number literal")
-    s = s.replace("-", "+-")
-    if s.startswith("+"):
-        s = s[1:]
-    a = Fraction(0)
-    b = Fraction(0)
-    for term in s.split("+"):
-        m = _TERM_RE.match(term)
-        if not m or (not m.group("coeff") and not m.group("tau")):
-            raise ValueError(f"cannot parse golden-number literal {text!r}")
-        coeff = m.group("coeff")
-        if m.group("tau"):
-            if coeff in ("", "+"):
-                c = Fraction(1)
-            elif coeff == "-":
-                c = Fraction(-1)
-            else:
-                c = Fraction(coeff)
-            b += c
-        else:
-            a += Fraction(coeff)
-    return a, b
-
-
-def parse_golden_int(text: str) -> GoldenInt:
-    """Parse the textual form "a+b*t" (e.g. "-1+2*t") into a GoldenInt."""
-    a, b = _parse_terms(text)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"{text!r} is not integral over Z[tau]")
-    return GoldenInt(int(a), int(b))
-
-
 # -- rationals over the golden field -------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -300,13 +257,6 @@ class GoldenRat:
             num = GoldenInt(num.a // g, num.b // g)
             den //= g
         return GoldenRat(num, den)
-
-    @staticmethod
-    def from_fractions(a: Fraction, b: Fraction) -> GoldenRat:
-        den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-        return GoldenRat.make(
-            GoldenInt(int(a * den), int(b * den)), den
-        )
 
     # -- arithmetic ------------------------------------------------------
 
@@ -411,12 +361,6 @@ def _coerce_rat(x: object) -> GoldenRat:
 
 RAT_ZERO = GoldenRat(ZERO, 1)
 RAT_ONE = GoldenRat(ONE, 1)
-
-
-def parse_golden_rat(text: str) -> GoldenRat:
-    """Parse "p/q+r/s*t" (any of the parts optional) into a GoldenRat."""
-    a, b = _parse_terms(text)
-    return GoldenRat.from_fractions(a, b)
 
 
 # -- gcd, canonical associates, factorization ----------------------------

@@ -1,5 +1,5 @@
-"""Exact lattice linear algebra: HNF, sublattice enumeration, duals,
-intersections, short vectors and integral equivalence of quadratic forms.
+"""Exact lattice linear algebra: HNF, duals, intersections, short vectors
+and integral equivalence of quadratic forms.
 
 Everything runs on Python integers, so there is no overflow and no
 rounding anywhere; Fraction input is scaled to integers by its common
@@ -104,38 +104,6 @@ def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
-def enumerate_sublattices(rank: int, index: int) -> Iterator[IntMatrix]:
-    """All HNF bases of sublattices of Z^rank with the given index.
-
-    Upper triangular, positive diagonal, column entries above a pivot
-    reduced mod the pivot; each sublattice appears exactly once.
-    """
-    if rank < 1 or index < 1:
-        raise ValueError("rank and index must be positive")
-
-    def fill(diag: tuple[int, ...], row: int, rows: list[tuple[int, ...]]):
-        if row == rank:
-            yield tuple(rows)
-            return
-        free = [range(diag[j]) for j in range(row + 1, rank)]
-
-        def rec(j: int, acc: list[int]):
-            if j == rank:
-                rows.append(tuple(acc))
-                yield from fill(diag, row + 1, rows)
-                rows.pop()
-                return
-            for t in free[j - row - 1]:
-                acc.append(t)
-                yield from rec(j + 1, acc)
-                acc.pop()
-
-        yield from rec(row + 1, [0] * row + [diag[row]])
-
-    for diag in _divisor_tuples(index, rank):
-        yield from fill(diag, 0, [])
-
-
 # -- rational lattices ----------------------------------------------------
 
 def _rat_inverse(m: Sequence[Sequence]) -> list[list]:
@@ -179,12 +147,12 @@ class ExactLattice:
     den: int
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence], ambient_dim: int | None = None) -> ExactLattice:
+    def from_rows(rows: Iterable[Sequence]) -> ExactLattice:
         """The lattice spanned by integer or Fraction rows."""
         rows = [tuple(r) for r in rows]
         if not rows:
             raise ValueError("need at least one generator")
-        dim = ambient_dim if ambient_dim is not None else len(rows[0])
+        dim = len(rows[0])
         if any(len(r) != dim for r in rows):
             raise ValueError("inconsistent row lengths")
         den = lcm(*(x.denominator for row in rows for x in row))
@@ -235,20 +203,6 @@ def _lowest_terms(dim: int, h: IntMatrix, den: int) -> ExactLattice:
     if g > 1:
         h = tuple(tuple(x // g for x in row) for row in h)
     return ExactLattice(dim, h, den // g)
-
-
-def lattice_index(sub: ExactLattice, sup: ExactLattice) -> int:
-    """Index [sup : sub] for full-rank lattices, sub a sublattice of sup:
-    the ratio of their determinants, prod(diagonal) / den^n of each HNF."""
-    if sub.ambient_dim != sup.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if not (sub.is_full_rank() and sup.is_full_rank()):
-        raise ValueError("index needs full-rank lattices")
-    if lattice_intersect(sub, sup) != sub:
-        raise ValueError("first lattice is not a sublattice of the second")
-    n = sub.ambient_dim
-    return (prod(row[i] for i, row in enumerate(sub.basis)) * sup.den ** n
-            // (prod(row[i] for i, row in enumerate(sup.basis)) * sub.den ** n))
 
 
 def lattice_dual(lat: ExactLattice, gram: Sequence[Sequence[int]] | None = None) -> ExactLattice:

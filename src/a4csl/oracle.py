@@ -47,9 +47,7 @@ from .icosian import (
     norm_one_units,
     nr_zcoords,
 )
-from .lattice import _divisor_tuples, det_int, forms_equivalent
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from .lattice import IntMatrix, _divisor_tuples, _ldl, forms_equivalent
 
 
 # --------------------------------------------------------------------------
@@ -70,10 +68,7 @@ def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
         raise ValueError("gram matrix must be square")
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
         raise ValueError("gram matrix must be symmetric")
-    # leading principal minors of a positive-definite matrix are positive
-    for k in range(1, n + 1):
-        if det_int([row[:k] for row in g[:k]]) <= 0:
-            raise ValueError("gram matrix must be positive definite")
+    _ldl(g)  # raises ValueError unless g is positive definite
     return g
 
 
@@ -354,11 +349,8 @@ class SectionReport:
     details: dict
     elapsed: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {"name": self.name, "ok": self.ok, "details": self.details}
-        if include_timing:
-            out["elapsed"] = round(self.elapsed, 3)
-        return out
+    def to_dict(self) -> dict:
+        return {"name": self.name, "ok": self.ok, "details": self.details}
 
 
 @dataclass(frozen=True)
@@ -371,15 +363,15 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(s.ok for s in self.sections)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "sections": [s.to_dict(include_timing) for s in self.sections],
+            "sections": [s.to_dict() for s in self.sections],
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        # timing is excluded by default so reruns compare byte-for-byte
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        # timing is left out so reruns compare byte-for-byte
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -414,6 +406,16 @@ def _run_unit(spec: tuple) -> tuple[tuple, dict, float]:
     else:
         raise ValueError(f"unknown unit kind {kind!r}")
     return spec, payload, time.monotonic() - started
+
+
+# the report's sections in order: (name, unit kind, lattice of an SSL section)
+_SECTIONS = (
+    ("ssl-counts", "ssl", "cartan"),
+    ("ssl-counts-dual", "ssl", "dual"),
+    ("soc-counts", "soc", None),
+    ("csl-samples", "csl", None),
+    ("series-identities", "series", None),
+)
 
 
 def verify_all(
@@ -460,57 +462,20 @@ def verify_all(
             _, payload, elapsed = _run_unit(spec)
             results[spec] = (payload, elapsed)
 
-    def gather(kind: str, which: str | None = None) -> tuple[list[dict], float]:
-        rows, spent = [], 0.0
-        for spec in specs:
-            if spec[0] != kind:
-                continue
-            if which is not None and spec[1] != which:
-                continue
-            payload, elapsed = results[spec]
-            rows.append(payload)
-            spent += elapsed
-        return rows, spent
-
     sections = []
-    primal, spent = gather("ssl", "cartan")
-    sections.append(
-        SectionReport(
-            name="ssl-counts",
-            ok=all(r["oracle"] == r["formula"] for r in primal),
-            details={"rows": primal},
-            elapsed=spent,
-        )
-    )
-    dual, spent = gather("ssl", "dual")
-    sections.append(
-        SectionReport(
-            name="ssl-counts-dual",
-            ok=all(r["oracle"] == r["formula"] for r in dual),
-            details={"rows": dual},
-            elapsed=spent,
-        )
-    )
-    soc, spent = gather("soc")
-    sections.append(
-        SectionReport(
-            name="soc-counts",
-            ok=all(r["oracle"] == r["formula"] for r in soc),
-            details={"rows": soc},
-            elapsed=spent,
-        )
-    )
-    (csl,), spent = gather("csl")
-    sections.append(
-        SectionReport(name="csl-samples", ok=csl["all_passed"], details=csl, elapsed=spent)
-    )
-    (series,), spent = gather("series")
-    sections.append(
-        SectionReport(
-            name="series-identities",
-            ok=series["ssl_identity"] and series["soc_identity"],
-            details=series,
-            elapsed=spent,
-        )
-    )
+    for name, kind, which in _SECTIONS:
+        picked = [spec for spec in specs
+                  if spec[0] == kind and (which is None or spec[1] == which)]
+        rows = [results[spec][0] for spec in picked]
+        spent = sum(results[spec][1] for spec in picked)
+        if kind == "csl":
+            (details,) = rows
+            ok = details["all_passed"]
+        elif kind == "series":
+            (details,) = rows
+            ok = details["ssl_identity"] and details["soc_identity"]
+        else:
+            details = {"rows": rows}
+            ok = all(r["oracle"] == r["formula"] for r in rows)
+        sections.append(SectionReport(name=name, ok=ok, details=details, elapsed=spent))
     return VerificationReport(tuple(sections))

@@ -103,8 +103,6 @@ class Quat:
         return "(" + ",".join(str(c) for c in self.components()) + ")"
 
 
-QUAT_ONE = Quat(RAT_ONE, RAT_ZERO, RAT_ZERO, RAT_ZERO)
-
 _STANDARD_BASIS = tuple(Quat.of(*(int(i == j) for j in range(4))) for i in range(4))
 
 
@@ -158,10 +156,6 @@ class RotationMatrix:
 
     def det(self) -> GoldenRat:
         return _det4([list(r) for r in self.entries])
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.entries)
 
 
 def rotation_matrix(q: Quat, scale: int) -> RotationMatrix:

@@ -1,16 +1,52 @@
-"""Reference implementation for the SSL oracle's candidate search: the
-leaf-testing Hermite-normal-form search that `a4csl.oracle._ssl_candidates`
-replaced, kept verbatim so that both can be compared on drawn forms.  Every
-complete candidate row gets the full norm and one dot product per fixed row;
-the reduced Gram of each surviving basis is collected in search order."""
+"""Reference implementations for the SSL oracle's candidate search.
+
+`ssl_candidates` is the leaf-testing Hermite-normal-form search that
+`a4csl.oracle._ssl_candidates` replaced, kept verbatim so that both can be
+compared on drawn forms.  Every complete candidate row gets the full norm
+and one dot product per fixed row; the reduced Gram of each surviving basis
+is collected in search order.
+
+`enumerate_sublattices` lists every HNF basis of a given index and tests
+none of them, so filtering its output by the divisibility tests is a
+search that does not depend on how the oracle prunes or solves rows."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from a4csl.lattice import _divisor_tuples
+from a4csl.lattice import IntMatrix, _divisor_tuples
 
-IntMatrix = tuple[tuple[int, ...], ...]
+
+def enumerate_sublattices(rank: int, index: int) -> Iterator[IntMatrix]:
+    """All HNF bases of sublattices of Z^rank with the given index.
+
+    Upper triangular, positive diagonal, column entries above a pivot
+    reduced mod the pivot; each sublattice appears exactly once.
+    """
+    if rank < 1 or index < 1:
+        raise ValueError("rank and index must be positive")
+
+    def fill(diag: tuple[int, ...], row: int, rows: list[tuple[int, ...]]):
+        if row == rank:
+            yield tuple(rows)
+            return
+        free = [range(diag[j]) for j in range(row + 1, rank)]
+
+        def rec(j: int, acc: list[int]):
+            if j == rank:
+                rows.append(tuple(acc))
+                yield from fill(diag, row + 1, rows)
+                rows.pop()
+                return
+            for t in free[j - row - 1]:
+                acc.append(t)
+                yield from rec(j + 1, acc)
+                acc.pop()
+
+        yield from rec(row + 1, [0] * row + [diag[row]])
+
+    for diag in _divisor_tuples(index, rank):
+        yield from fill(diag, 0, [])
 
 
 def ssl_candidates(m: int, g: IntMatrix) -> list[list[list[int]]]:

@@ -10,8 +10,8 @@ from a4csl.a4 import (
     csl_of,
     denominator_of,
     dual_lattice_gram,
-    l_contains,
     l_coords,
+    l_coords_rational,
     l_of_ideal,
     l_point,
     phi_plus,
@@ -47,15 +47,15 @@ def test_l_basis_gram_is_cartan():
 
 
 def test_l_membership_and_coords():
-    assert l_contains(Quat.of(1, 0, 0, 0))
-    assert l_contains(Quat.of(0, 1, 0, 0))  # the twist fixes 1 and i
-    assert not l_contains(Quat.of(0, 0, 1, 0))  # ... but swaps j and k
+    assert l_coords(Quat.of(1, 0, 0, 0)) == (1, 0, 0, 0)
+    assert l_coords(Quat.of(0, 1, 0, 0)) == (0, 0, -1, 0)  # the twist fixes 1 and i
+    with pytest.raises(ValueError):
+        l_coords(Quat.of(0, 0, 1, 0))  # ... but swaps j and k
     rng = random.Random(301)
     for _ in range(25):
         coords = [rng.randint(-5, 5) for _ in range(4)]
         p = l_point(coords)
         assert l_coords(p) == tuple(coords)
-        assert l_contains(p)
 
 
 def test_phi_plus_lands_in_l():
@@ -64,7 +64,7 @@ def test_phi_plus_lands_in_l():
         x = random_icosian(rng)
         sym = phi_plus(x.quat)
         assert sym.twist() == sym
-        assert l_contains(sym)
+        l_coords(sym)  # raises ValueError off the lattice
 
 
 def test_dual_gram():
@@ -116,7 +116,7 @@ def test_csl_of_one_plus_i():
     for coords in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         p = l_point(coords)
         image = res.rotation.apply(p.quat)
-        on_l = l_contains(image)
+        on_l = all(x.denominator == 1 for x in l_coords_rational(image))
         assert on_l == res.lattice.contains(coords)
 
 

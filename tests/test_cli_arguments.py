@@ -1,8 +1,12 @@
 """Argument validation: bad numbers are usage errors (exit 2) and are
 rejected before any work, or any worker process, starts.  An --out file
-that cannot be written is a usage error as well."""
+that cannot be written is a usage error as well, but a stdout pipe that
+its reader closes early is not an error."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +60,17 @@ def test_unwritable_out_is_one_error_line_with_exit_two(argv, tmp_path, capsys):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stdout_closed_by_its_reader_exits_zero_quietly():
+    # about 1.5 MB of output, far more than a pipe buffers, so the command
+    # is still writing when the reader goes away, as with `| head -1`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "a4csl.cli", "count", "ssl", "--max", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"scale  count\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""

@@ -16,9 +16,9 @@ from a4csl.counting import (
     f_soc_values,
     f_ssl,
     f_ssl_values,
+    _zeta_icosian_sparse,
     representable_ssl_indices,
     zeta_golden_coeffs,
-    zeta_icosian_coeffs,
 )
 
 SSL_KNOWN = {1: 1, 4: 6, 5: 6, 9: 11, 11: 24, 16: 26, 19: 40, 20: 36,
@@ -70,16 +70,15 @@ def test_zeta_golden_coeffs():
 
 
 def test_zeta_icosian_coeffs():
-    c = zeta_icosian_coeffs(130)
+    c = _zeta_icosian_sparse(130)
     assert c[1] == 1
-    assert c[4] == 0
+    assert 4 not in c
     assert c[16] == 5
     assert c[25] == 6
     assert c[81] == 10
     assert c[121] == 24
-    for n, v in enumerate(c):
-        if v:
-            assert isqrt(n) ** 2 == n
+    for n, v in c.items():
+        assert v and isqrt(n) ** 2 == n
 
 
 def test_dirichlet_inverse_of_ones_is_mobius():

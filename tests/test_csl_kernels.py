@@ -27,7 +27,7 @@ def rational_rows(lat: ExactLattice) -> list[list[Fraction]]:
 def dual_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
     """The intersection by duality, (L1 cap L2)* = L1* + L2*."""
     union = ExactLattice.from_rows(
-        rational_rows(lattice_dual(l1)) + rational_rows(lattice_dual(l2)), l1.ambient_dim)
+        rational_rows(lattice_dual(l1)) + rational_rows(lattice_dual(l2)))
     return lattice_dual(union)
 
 
@@ -56,7 +56,7 @@ def rational_lattices(draw, n):
     entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                          min_size=n, max_size=n + 2))
-    lat = ExactLattice.from_rows(rows, n)
+    lat = ExactLattice.from_rows(rows)
     assume(lat.is_full_rank())
     return lat
 

@@ -2,14 +2,13 @@
 
 import itertools
 import math
-import random
 
 import pytest
 
 from a4csl import icosian, lattice, oracle
 from a4csl.counting import f_soc
 from a4csl.golden import RAT_ONE, RAT_ZERO, _is_prime, factor_int
-from a4csl.lattice import ExactLattice, _divisor_tuples, _rat_inverse, det_int, lattice_index
+from a4csl.lattice import _divisor_tuples, _rat_inverse
 
 
 def test_rat_inverse_over_golden_field():
@@ -19,27 +18,6 @@ def test_rat_inverse_over_golden_field():
         for j in range(4):
             entry = sum((m[i][k] * inv[k][j] for k in range(4)), RAT_ZERO)
             assert entry == (RAT_ONE if i == j else RAT_ZERO)
-
-
-def test_lattice_index_matches_determinant_ratio():
-    rng = random.Random(311)
-    done = 0
-    while done < 20:
-        sup_rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        mult = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        if det_int(sup_rows) == 0 or det_int(mult) == 0:
-            continue
-        sub_rows = [[sum(mult[i][k] * sup_rows[k][j] for k in range(4)) for j in range(4)]
-                    for i in range(4)]
-        if all(sub_rows[i][j] == 0 for i in range(4) for j in range(4) if i != j):
-            continue
-        sub = ExactLattice.from_rows(sub_rows)
-        sup = ExactLattice.from_rows(sup_rows)
-        assert lattice_index(sub, sup) == abs(det_int(sub_rows) // det_int(sup_rows))
-        if abs(det_int(mult)) > 1:
-            with pytest.raises(ValueError):
-                lattice_index(sup, sub)
-        done += 1
 
 
 @pytest.mark.parametrize("n, k", [(12, 4), (36, 3), (625, 4), (360, 2), (1, 3)])

