@@ -27,7 +27,6 @@ from .lattice import (
     forms_equivalent,
     lll_reduce_gram,
     short_vectors,
-    theta_counts,
     lattice_intersect,
     lattice_dual,
 )

@@ -10,9 +10,9 @@ so as a Z-module the ring is free of rank 8 on e1..e4, tau*e1..tau*e4.  An
 else.  Sums, differences, scaling by a golden integer, the reduced norm and
 primitivity run on those integers; the quaternion value is derived from
 them only where a product, conjugate, twist or printed rotation needs it.
-The trace form Tr(nr(x)) makes Z^8 a positive definite (odd, with some
-half-integral polarisation entries) lattice whose shells this module can
-enumerate exactly.
+The trace form Tr(nr(x)) makes Z^8 a positive definite lattice; its
+polarisation has half-integral entries, so the module keeps twice the form
+as an integer Gram and enumerates its shells exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .golden import (
     gi_lcm_std,
     gi_sqrt,
 )
-from .lattice import _rat_inverse, short_vectors
+from .lattice import IntMatrix, _rat_inverse, short_vectors
 from .quaternion import Quat, RotationMatrix, rotation_matrix
 
 
@@ -253,11 +253,13 @@ class ExtensionPair:
 ZBASIS: tuple[Icosian, ...] = tuple(
     Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 
-#: The trace form Tr(nr) on Z^8: entry (i, j) is Tr(sum_k c_k(f_i) c_k(f_j))
-#: over the components c_k, which _TWICE holds doubled, hence the 4.
-TRACE_GRAM: tuple[tuple[Fraction, ...], ...] = tuple(
-    tuple(Fraction(sum((s * t).trace() for s, t in zip(fi, fj)), 4) for fj in _TWICE)
-    for fi in _TWICE)
+#: Twice the trace form Tr(nr) on Z^8, as an integer Gram.  _TWICE holds
+#: the components c_k doubled, so _TRACE4[i][j] = 4 Tr(sum_k c_k(f_i) c_k(f_j)),
+#: which must be even for its half to be an integer.
+_TRACE4 = [[sum((s * t).trace() for s, t in zip(fi, fj)) for fj in _TWICE] for fi in _TWICE]
+if any(x % 2 for row in _TRACE4 for x in row):
+    raise ConsistencyError("twice the trace form on Z^8 is not integral")
+TRACE_GRAM2: IntMatrix = tuple(tuple(x // 2 for x in row) for row in _TRACE4)
 
 
 def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
@@ -284,7 +286,7 @@ def is_primitive_zcoords(zc: Sequence[int]) -> bool:
 def enumerate_by_trace_norm(t: int) -> list[tuple[int, ...]]:
     """The Z^8 coordinates of the icosians q with Tr(nr(q)) = t, one of each
     pair q, -q (deterministic `short_vectors` order)."""
-    return [v for v, norm in short_vectors(TRACE_GRAM, t) if norm == t]
+    return [v for v, norm in short_vectors(TRACE_GRAM2, 2 * t) if norm == 2 * t]
 
 
 @lru_cache(maxsize=1)

@@ -2,17 +2,18 @@
 and integral equivalence of quadratic forms.
 
 Everything runs on Python integers, so there is no overflow and no
-rounding anywhere; Fraction input is scaled to integers by its common
-denominator, and a rational lattice is an integer HNF over one denominator
-(`ExactLattice`).  Matrices are tuples of tuples, rows are generators.
+rounding anywhere.  A Gram matrix has integer entries (any other entry
+raises TypeError), and a rational lattice is an integer HNF over one
+denominator (`ExactLattice`).  Matrices are tuples of tuples, rows are
+generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -246,19 +247,22 @@ def lattice_intersect(l1: ExactLattice, l2: ExactLattice) -> ExactLattice:
 
 # -- short vectors and form equivalence ------------------------------------
 
-def _ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[list[int]]]:
-    """Fraction-free LDL^T of a positive definite integer or Fraction Gram.
+def _ldl(gram: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """LDL^T of a positive definite integer Gram in integers alone (Bareiss
+    style), the one gate every Gram of this module passes through.
 
-    The Gram is first scaled to integers by the common denominator c of its
-    entries.  Returns (c, D, P): the leading principal minors D[0..n] of
-    c * gram, with D[0] = 1, and the Bareiss numerators P, so that the
-    Gram-Schmidt data are mu[j][i] = P[j][i] / D[i+1] (j > i) and
-    B[i] = D[i+1] / D[i].  Every division in the recurrence is exact.
-    Raises ValueError unless the Gram is positive definite.
+    Returns (D, P): the leading principal minors D[0..n] of the Gram, with
+    D[0] = 1, and the Bareiss numerators P, so that the Gram-Schmidt data
+    are mu[j][i] = P[j][i] / D[i+1] (j > i) and B[i] = D[i+1] / D[i].
+    Every division in the recurrence is exact.  Raises TypeError for an
+    entry that is not an integer (a fraction or a float) and ValueError
+    unless the Gram is square, symmetric and positive definite.
     """
-    c = lcm(*(x.denominator for row in gram for x in row))
-    a = [[x.numerator * (c // x.denominator) for x in row] for row in gram]
+    a = [[index(x) for x in row] for row in gram]
     n = len(a)
+    if any(len(row) != n for row in a) or any(
+            a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix must be square and symmetric")
     d = [1] * (n + 1)
     p = [[0] * n for _ in range(n)]
     for k in range(n):
@@ -274,25 +278,25 @@ def _ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[list[int]]]:
                 raise ValueError("Gram matrix is not positive definite")
             else:
                 d[k + 1] = u
-    return c, d, p
+    return d, p
 
 
-def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMatrix]:
+def lll_reduce_gram(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     """Exact LLL reduction acting on a Gram matrix alone.
 
     Returns (reduced, u) with reduced = u * gram * u^T and u unimodular.
-    delta = 3/4.  The basis changes are integer row operations, so an
-    integer Gram stays integer, and the Gram-Schmidt data are kept as the
-    integers D and P of `_ldl`.  Size reduction updates P in place (D does
+    delta = 3/4.  The basis changes are integer row operations, so the
+    Gram stays integer, and the Gram-Schmidt data are kept as the integers
+    D and P of `_ldl`.  Size reduction updates P in place (D does
     not change); D and P are rebuilt from the Gram only after a swap.
     """
     n = len(gram)
     a = [list(row) for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    _, d, p = _ldl(a)
+    d, p = _ldl(a)
 
     def reduce(k: int, j: int) -> None:
-        # b_k -= q*b_j with q = round(mu[k][j]), ties to even as round(Fraction)
+        # b_k -= q*b_j with q = round(mu[k][j]), ties to even like round()
         q, rem = divmod(2 * p[k][j] + d[j + 1], 2 * d[j + 1])
         if not rem and q % 2:
             q -= 1
@@ -321,37 +325,36 @@ def lll_reduce_gram(gram: Sequence[Sequence]) -> tuple[tuple[tuple, ...], IntMat
             for row in a:
                 row[k], row[k - 1] = row[k - 1], row[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            _, d, p = _ldl(a)
+            d, p = _ldl(a)
             k = max(k - 1, 1)
     return tuple(tuple(x) for x in a), tuple(tuple(r) for r in u)
 
 
-def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All x != 0 with x^T G x <= bound, one per +-pair, with exact norms.
+def short_vectors(gram: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All x != 0 with x^T G x <= bound, one per +-pair, with their norms.
 
-    G must be symmetric positive definite with integer or Fraction
-    entries.  Uses exact Fincke-Pohst style enumeration in integers; the
-    sign convention keeps the representative whose last nonzero coordinate
-    is positive, and the order is deterministic.
+    G must be a symmetric positive definite integer Gram.  Uses exact
+    Fincke-Pohst style enumeration in integers; the sign convention keeps
+    the representative whose last nonzero coordinate is positive, and the
+    order is deterministic.
     """
     n = len(gram)
-    bound = Fraction(bound)
+    bound = index(bound)
     if bound < 0:
         return
-    c, d, p = _ldl(gram)
-    # with lam = lcm_i D[i] D[i+1], lam * c * x^T G x is the integer
+    d, p = _ldl(gram)
+    # with lam = lcm_i D[i] D[i+1], lam * x^T G x is the integer
     # sum_i w[i] * s_i^2, where w[i] = lam / (D[i] D[i+1]) and
     # s_i = x_i D[i+1] + sum_{j>i} P[j][i] x_j
     lam = lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [lam // (d[i] * d[i + 1]) for i in range(n)]
-    scale = lam * c
-    top = scale * bound.numerator // bound.denominator
+    top = lam * bound
     x = [0] * n
 
-    def rec(i: int, remaining: int, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def rec(i: int, remaining: int, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], int]]:
         if i < 0:
             if not higher_zero:
-                yield tuple(x), Fraction(top - remaining, scale)
+                yield tuple(x), (top - remaining) // lam
             return
         t = sum(p[j][i] * x[j] for j in range(i + 1, n))
         di, wi = d[i + 1], w[i]
@@ -367,55 +370,53 @@ def short_vectors(gram: Sequence[Sequence], bound) -> Iterator[tuple[tuple[int, 
     yield from rec(n - 1, top, True)
 
 
-def theta_counts(gram: Sequence[Sequence], bound) -> dict[Fraction, int]:
-    """Number of +-pairs of vectors at each nonzero norm <= bound."""
-    out: dict[Fraction, int] = {}
-    for _, norm in short_vectors(gram, bound):
-        out[norm] = out.get(norm, 0) + 1
-    return out
+def _walk(r: IntMatrix, max_diag: int) -> tuple[dict[int, int], dict[int, list[tuple[int, ...]]]]:
+    """One short-vector walk of r to twice max_diag: the number of +-pairs
+    at each norm, and the vectors of norm <= max_diag grouped by norm in
+    walk order (the order a walk to max_diag alone would give)."""
+    counts: dict[int, int] = {}
+    by_norm: dict[int, list[tuple[int, ...]]] = {}
+    for v, norm in short_vectors(r, 2 * max_diag):
+        counts[norm] = counts.get(norm, 0) + 1
+        if norm <= max_diag:
+            by_norm.setdefault(norm, []).append(v)
+    return counts, by_norm
 
 
 @lru_cache(maxsize=8)
-def _reduced_target(g2: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], dict]:
+def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, dict[int, int]]:
     """The LLL-reduced form of a target Gram and its theta counts up to
     twice its largest diagonal entry, computed once per target."""
-    r2, _ = lll_reduce_gram(g2)  # raises if not positive definite
-    max_diag = max(r2[i][i] for i in range(len(r2)))
-    return r2, theta_counts(r2, 2 * max_diag)
+    r2, _ = lll_reduce_gram(g2)  # raises unless g2 passes the Gram gate
+    return r2, _walk(r2, max(r2[i][i] for i in range(len(r2))))[0]
 
 
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
     """Decide integral equivalence U G1 U^T = G2 (U unimodular).
 
-    Preconditions: both symmetric positive definite of the same dimension
-    and determinant (violations raise ValueError).  Both forms are LLL
-    reduced first, then a theta-series prefilter (pair counts at norms up
-    to twice the largest diagonal entry of the reduced G2) rejects most
-    inequivalent pairs before the backtracking search over short vectors.
-    The reduced G2 and its theta counts are cached per G2, so a search
-    against one fixed target reduces that target once.
+    Preconditions: both integer, symmetric and positive definite, of the
+    same dimension and determinant (violations raise TypeError for a
+    non-integer entry, ValueError otherwise).  Both forms are LLL reduced
+    first, then a theta-series prefilter (pair counts at norms up to twice
+    the largest diagonal entry of the reduced G2) rejects most inequivalent
+    pairs before the backtracking search over short vectors, which the
+    same walk of the reduced G1 supplies.  The reduced G2 and its theta
+    counts are cached per G2, so a search against one fixed target reduces
+    that target once.
     """
-    n = len(g1)
-    if len(g2) != n:
+    r1, _ = lll_reduce_gram(g1)  # raises unless g1 passes the Gram gate
+    # integer keys, so a float target cannot share an integer target's entry
+    r2, theta2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
+    n = len(r1)
+    if len(r2) != n:
         raise ValueError("dimension mismatch")
-    for g in (g1, g2):
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrices must be symmetric")
-    if det_int(g1) != det_int(g2):
+    if det_int(r1) != det_int(r2):
         raise ValueError("determinants differ; forms live in different genera")
 
-    r1, _ = lll_reduce_gram(g1)  # raises if not positive definite
-    r2, theta2 = _reduced_target(tuple(map(tuple, g2)))
-
     max_diag = max(r2[i][i] for i in range(n))
-    if theta_counts(r1, 2 * max_diag) != theta2:
+    theta1, by_norm = _walk(r1, max_diag)
+    if theta1 != theta2:
         return False
-
-    by_norm: dict[Fraction, list[tuple[int, ...]]] = {}
-    for v, norm in short_vectors(r1, max_diag):
-        by_norm.setdefault(norm, []).append(v)
 
     def inner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         return sum(u[i] * r1[i][j] * v[j] for i in range(n) for j in range(n))

@@ -12,14 +12,13 @@ coincidence site lattices -- so that the multiplicative formulas in
 
 from __future__ import annotations
 
-import itertools
 import json
 import pickle
 import random
 import sys
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from .a4 import (
@@ -32,14 +31,7 @@ from .a4 import (
     matches_quat_rotation,
 )
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
-from .golden import (
-    GoldenInt,
-    canonical_associate,
-    factor_int,
-    gi_lcm_std,
-    prime_above,
-    splitting_type,
-)
+from .golden import GoldenInt, canonical_associate, gi_lcm_std
 from .icosian import (
     Icosian,
     enumerate_by_trace_norm,
@@ -63,12 +55,7 @@ def _as_int(x: object) -> int:
 
 def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
     g = tuple(tuple(_as_int(x) for x in row) for row in gram)
-    n = len(g)
-    if any(len(row) != n for row in g):
-        raise ValueError("gram matrix must be square")
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
-        raise ValueError("gram matrix must be symmetric")
-    _ldl(g)  # raises ValueError unless g is positive definite
+    _ldl(g)  # raises ValueError unless g is square, symmetric and positive definite
     return g
 
 
@@ -178,42 +165,30 @@ def admissible_nr_divisors(n: int) -> tuple[GoldenInt, ...]:
     """Canonical reduced norms whose coincidence index equals n.
 
     A rotation of index n comes from a primitive icosian whose reduced
-    norm, normalized to its canonical associate, divides n in a
-    prime-by-prime fashion: valuation 2a at the ramified prime when
-    5^a || n, valuation a at an inert prime, and a pair of valuations
-    (e, e') with max a and equal parity at a split prime pair.  The
-    parity constraint is forced by the absolute norm being a perfect
-    square.
+    norm d, taken as its canonical associate, is totally positive with a
+    perfect-square absolute norm (the rotation's scale is rational),
+    divides n, and has lcm(d, d') = n.  They are found by that definition:
+    every d = a + b tau in a box that holds all of them is tested.
     """
     if n < 1:
         raise ValueError("coincidence index must be a positive integer")
-    per_prime: list[list[GoldenInt]] = []
-    for p, a in factor_int(n):
-        kind = splitting_type(p)
-        pi = prime_above(p)
-        options: list[GoldenInt] = []
-        if kind == "ramified":
-            options.append(pi ** (2 * a))
-        elif kind == "inert":
-            options.append(GoldenInt(p, 0) ** a)
-        else:
-            pi_bar = canonical_associate(pi.conj())
-            pairs = {(a, a - 2 * k) for k in range(a // 2 + 1)}
-            pairs |= {(a - 2 * k, a) for k in range(a // 2 + 1)}
-            for e, e_bar in sorted(pairs):
-                options.append(pi**e * pi_bar**e_bar)
-        per_prime.append(options)
-    out = set()
-    for combo in itertools.product(*per_prime):
-        d = GoldenInt(1, 0)
-        for factor in combo:
-            d = d * factor
-        out.add(canonical_associate(d))
-    for d in out:
-        lcm = gi_lcm_std(d, d.conj())
-        if lcm != GoldenInt(n, 0):
-            raise ConsistencyError(f"lcm({d}, {d.conj()}) = {lcm}, not {n}")
-    return tuple(sorted(out, key=lambda g: (g.a, g.b)))
+    # d | n gives N(d) | n^2, so sqrt N(d) <= n.  The canonical window gives
+    # d < tau^2 sqrt N and |d'| <= sqrt N, so b = (d - d')/sqrt 5 lies in
+    # [0, 1.62 n] and a = (tau d' - tau' d)/sqrt 5 in [-0.73 n, 1.45 n]:
+    # the box below holds every candidate, and is walked in (a, b) order.
+    target = GoldenInt(n, 0)
+    out = []
+    for a in range(-2 * n, 2 * n + 1):
+        for b in range(2 * n + 1):
+            # N(d) in plain integers first: positive, a square, and dividing n^2
+            norm = a * a + a * b - b * b
+            if norm <= 0 or n * n % norm or isqrt(norm) ** 2 != norm:
+                continue
+            d = GoldenInt(a, b)
+            if (d.is_totally_positive() and target.divisible_by(d)
+                    and canonical_associate(d) == d and gi_lcm_std(d, d.conj()) == target):
+                out.append(d)
+    return tuple(out)
 
 
 def oracle_soc_count(n: int) -> int:

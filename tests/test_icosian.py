@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, GoldenRat, gi_gcd
+from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, gi_gcd
 from a4csl.icosian import (
     ICOSIAN_BASIS,
-    TRACE_GRAM,
+    TRACE_GRAM2,
     ZBASIS,
     Icosian,
     NotAdmissibleError,
@@ -59,12 +59,14 @@ def test_ring_closed_under_multiplication_conj_twist():
 
 
 def test_trace_gram_has_half_integral_entry():
-    assert TRACE_GRAM[0][3] == Fraction(1, 2)
-    assert all(TRACE_GRAM[i][i] == 2 for i in range(4))
-    # reference: Tr of the polarisation (nr(f+g) - nr(f) - nr(g)) / 2 over Q(sqrt 5)
-    assert TRACE_GRAM == tuple(
-        tuple(tr_frac(((f.quat + g.quat).nr() - f.quat.nr() - g.quat.nr())
-                      * GoldenRat.make(1, 2)) for g in ZBASIS)
+    # the trace form has the entry 1/2, so the module keeps it doubled
+    assert all(type(x) is int for row in TRACE_GRAM2 for x in row)
+    assert TRACE_GRAM2[0][3] == 1
+    assert all(TRACE_GRAM2[i][i] == 4 for i in range(4))
+    # reference: twice Tr of the polarisation (nr(f+g) - nr(f) - nr(g)) / 2
+    # over Q(sqrt 5)
+    assert TRACE_GRAM2 == tuple(
+        tuple(tr_frac((f.quat + g.quat).nr() - f.quat.nr() - g.quat.nr()) for g in ZBASIS)
         for f in ZBASIS)
 
 
@@ -114,14 +116,13 @@ def test_nr_zcoords_matches_quaternion_norm():
 
 def box_count_trace_norm(t):
     """Independent shell count: full box enumeration of Z^8 coordinates,
-    using the doubled (hence integral) Gram matrix and running sums."""
-    g2 = [[int(2 * TRACE_GRAM[i][j]) for j in range(8)] for i in range(8)]
-    assert all(Fraction(g2[i][j], 2) == TRACE_GRAM[i][j]
-               for i in range(8) for j in range(8))
-    ginv = _rat_inverse(TRACE_GRAM)
+    using the doubled (integral) Gram matrix and running sums."""
+    g2 = TRACE_GRAM2
+    ginv = _rat_inverse([[Fraction(x) for x in row] for row in g2])
     bounds = []
     for i in range(8):
-        r = t * ginv[i][i]
+        # x^T g2 x = 2t bounds x_i^2 by 2t (g2^-1)_ii
+        r = 2 * t * ginv[i][i]
         b = 0
         while (b + 1) * (b + 1) <= r:
             b += 1

@@ -11,8 +11,9 @@ from a4csl.lattice import (
     hnf,
     lattice_dual,
     lattice_intersect,
+    lll_reduce_gram,
     short_vectors,
-    theta_counts,
+    _walk,
 )
 from ssl_reference import enumerate_sublattices
 
@@ -204,15 +205,40 @@ def test_short_vectors_one_per_sign_pair():
 
 
 def test_short_vectors_half_integral_gram():
-    g = ((1, Fraction(1, 2)), (Fraction(1, 2), 1))  # hexagonal, minimum 1
-    pairs = list(short_vectors(g, 1))
+    # the hexagonal form with minimum 1, doubled to an integer Gram
+    g = ((2, 1), (1, 2))
+    pairs = list(short_vectors(g, 2))
     assert len(pairs) == 3
-    assert all(n == 1 for _, n in pairs)
+    assert all(type(n) is int and n == 2 for _, n in pairs)
 
 
 def test_theta_counts_cartan():
-    t = theta_counts(CARTAN, 4)
-    assert t == {Fraction(2): 10, Fraction(4): 15}
+    # one walk to twice the largest diagonal entry gives the theta counts and,
+    # in the order of a walk to the diagonal entry alone, the shorter vectors
+    counts, by_norm = _walk(CARTAN, 2)
+    assert counts == {2: 10, 4: 15}
+    assert by_norm == {2: [v for v, _ in short_vectors(CARTAN, 2)]}
+
+
+# the one Gram gate: not symmetric, not square, not integral
+BAD_GRAMS = [(((2, 5), (0, 2)), ValueError),
+             (((2, 1), (1,)), ValueError),
+             (((2.0, 1.0), (1.0, 2.0)), TypeError)]
+HEXAGONAL = ((2, 1), (1, 2))
+
+
+@pytest.mark.parametrize("gram, error", BAD_GRAMS, ids=["asymmetric", "ragged", "float"])
+@pytest.mark.parametrize("call", [
+    lambda g: list(short_vectors(g, 2)),
+    lll_reduce_gram,
+    lambda g: forms_equivalent(g, HEXAGONAL),
+    lambda g: forms_equivalent(HEXAGONAL, g),
+], ids=["short_vectors", "lll_reduce_gram", "forms_equivalent", "forms_equivalent_target"])
+def test_gram_gate_refuses_bad_grams(call, gram, error):
+    # with the hexagonal target cached, a float copy of it must still be refused
+    assert forms_equivalent(HEXAGONAL, HEXAGONAL)
+    with pytest.raises(error):
+        call(gram)
 
 
 def test_forms_equivalent_under_unimodular_change():

@@ -21,6 +21,7 @@ from a4csl.oracle import (
     oracle_ssl_count,
     verify_all,
 )
+import soc_reference
 from ssl_reference import enumerate_sublattices, ssl_candidates as reference_candidates
 
 
@@ -55,6 +56,22 @@ def test_admissible_divisors_split_prime_square():
 def test_admissible_divisors_reject_bad_index():
     with pytest.raises(ValueError):
         admissible_nr_divisors(0)
+
+
+# below 1000, only these indices have an admissible norm that is not
+# rational (by the prime-by-prime construction)
+IRRATIONAL_INDICES = (121, 242, 361, 363, 484, 605, 722, 726, 841, 847, 961, 968)
+
+
+def test_admissible_divisors_match_prime_by_prime_construction():
+    for n in [*range(1, 101), *IRRATIONAL_INDICES[:5]]:
+        assert admissible_nr_divisors(n) == soc_reference.admissible_nr_divisors(n), n
+
+
+def test_admissible_divisors_box_misses_nothing():
+    # the oracle searches -2n <= a <= 2n, 0 <= b <= 2n; twice as wide finds no more
+    for n in [*range(1, 61), *IRRATIONAL_INDICES[:2]]:
+        assert soc_reference.definitional_divisors(n, 4 * n) == admissible_nr_divisors(n), n
 
 
 SSL_SMALL = {1: 1, 2: 0, 3: 0, 4: 6, 5: 6, 6: 0}
