@@ -40,11 +40,13 @@ from typing import Sequence
 
 from .golden import ONE, RAT_ZERO, ConsistencyError, GoldenInt
 from .icosian import (
+    _PAIRS,
     ZBASIS,
     ExtensionPair,
     Icosian,
     _coords_from_inverse,
     _half,
+    pair_products,
     tr_frac,
 )
 from .lattice import (
@@ -139,10 +141,6 @@ def l_point(coords: Sequence[int]) -> Icosian:
 
 # -- the integer conjugation kernel -----------------------------------------
 
-#: index pairs i <= j of the Z^8 basis, in the column order of the table
-_PAIRS: tuple[tuple[int, int], ...] = tuple(
-    (i, j) for i in range(8) for j in range(i, 8))
-
 
 def _table_l_coords(image: Quat, entry: str) -> tuple[int, int, int, int]:
     """The L-coordinates of a table entry, which must be integers; a
@@ -179,10 +177,9 @@ def _conjugation_table() -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
-def _conjugation_matrix(zc: Sequence[int]) -> IntMatrix:
+def _conjugation_matrix(w: Sequence[int]) -> IntMatrix:
     """Row c is the integer L-coordinates of q b_c twist(q), for the icosian
-    q with Z^8 coordinates zc."""
-    w = [zc[i] * zc[j] for i, j in _PAIRS]
+    q with pair products w (`pair_products`)."""
     flat = [sum(map(mul, w, row)) for row in _conjugation_table()]
     return tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
 
@@ -197,26 +194,26 @@ def l_rotation(q: Icosian) -> tuple[IntMatrix, int]:
     when s is irrational, and ConsistencyError unless M^T C M = den^2 C for
     the Cartan matrix C and det M = den^4.
     """
-    return l_rotation_zcoords(q.zcoords(), q.scale())  # scale raises NotAdmissibleError
+    return l_rotation_pairs(pair_products(q.zcoords()), q.scale())
 
 
-def l_rotation_zcoords(zc: Sequence[int], s: int) -> tuple[IntMatrix, int]:
-    """`l_rotation` of the icosian with Z^8 coordinates zc and scale s, for
-    callers that already know s."""
-    rows = _conjugation_matrix(zc)
-    g = gcd(s, *(x for row in rows for x in row))
-    m = tuple(tuple(rows[c][k] // g for c in range(4)) for k in range(4))
-    den = s // g
-    cartan = CARTAN_A4
-    cm = [[sum(cartan[i][k] * m[k][j] for k in range(4)) for j in range(4)]
-          for i in range(4)]
-    d2 = den * den
-    if any(sum(m[k][i] * cm[k][j] for k in range(4)) != d2 * cartan[i][j]
-           for i in range(4) for j in range(4)):
-        raise ConsistencyError(f"rotation of {zc} does not preserve the A4 form")
-    if det_int(m) != d2 * d2:
-        raise ConsistencyError(f"rotation of {zc} does not have determinant +1")
-    return m, den
+def l_rotation_pairs(w: Sequence[int], s: int) -> tuple[IntMatrix, int]:
+    """`l_rotation` of the icosian with pair products w and scale s.
+
+    Both checks run on the rows R = g M^T before they are divided by
+    g = gcd(s, content of R) = s / den: R C R^T = s^2 C is the statement
+    M^T C M = den^2 C, and det R = s^4 is det M = den^4."""
+    rows = _conjugation_matrix(w)
+    s2 = s * s
+    # R C from the tridiagonal C, then the symmetric product on i <= j only
+    rc = [(2 * a - b, 2 * b - a - c, 2 * c - b - d, 2 * d - c) for a, b, c, d in rows]
+    if any(sum(map(mul, rc[i], rows[j])) != s2 * CARTAN_A4[i][j]
+           for i in range(4) for j in range(i, 4)):
+        raise ConsistencyError(f"rows {rows} over {s} do not preserve the A4 form")
+    if det_int(rows) != s2 * s2:
+        raise ConsistencyError(f"rows {rows} over {s} do not have determinant +1")
+    g = gcd(s, *rows[0], *rows[1], *rows[2], *rows[3])
+    return tuple(tuple(r[k] // g for r in rows) for k in range(4)), s // g
 
 
 def matches_quat_rotation(rot: RotationMatrix, m: IntMatrix, den: int) -> bool:
@@ -243,7 +240,7 @@ def ssl_of(p: Icosian) -> ExactLattice:
     lattice index (nr(p) nr(p)')^2, in integer L-coordinates."""
     if not p:
         raise ValueError("the zero icosian spans no sublattice")
-    sub = ExactLattice.from_rows(_conjugation_matrix(p.zcoords()))
+    sub = ExactLattice.from_rows(_conjugation_matrix(pair_products(p.zcoords())))
     if sub.index != p.norm_quadruple() ** 2:
         raise ConsistencyError(f"similar sublattice of {p} has index {sub.index}")
     return sub
@@ -341,7 +338,7 @@ def denominator_of(q: Icosian) -> int | IrrationalDenominator:
     """
     if not q:
         raise ValueError("the zero icosian induces no rotation")
-    content = gcd(*(x for row in _conjugation_matrix(q.zcoords()) for x in row))
+    content = gcd(*(x for row in _conjugation_matrix(pair_products(q.zcoords())) for x in row))
     n4 = q.norm_quadruple()
     s = isqrt(n4)
     if s * s == n4:

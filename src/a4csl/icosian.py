@@ -28,6 +28,7 @@ from .golden import (
     ONE,
     RAT_ZERO,
     TAU,
+    ZERO,
     ConsistencyError,
     GoldenInt,
     GoldenRat,
@@ -93,12 +94,6 @@ _TWICE: list[list[GoldenInt]] = [[(2 * c * t).as_golden_int() for c in e.compone
 _TWICE_AB = [([row[k].a for row in _TWICE], [row[k].b for row in _TWICE]) for k in range(4)]
 
 
-def _twice_components(zc: Sequence[int]) -> list[tuple[int, int]]:
-    """(a, b) with a + b tau twice each component of the icosian with Z^8
-    coordinates zc."""
-    return [(sum(map(mul, zc, a)), sum(map(mul, zc, b))) for a, b in _TWICE_AB]
-
-
 @dataclass(frozen=True, slots=True)
 class Icosian:
     """An element of the icosian ring, stored as its Z^8 coordinates z:
@@ -136,7 +131,9 @@ class Icosian:
     @property
     def quat(self) -> Quat:
         """The quaternion value, each component summed in integers over 2."""
-        return Quat(*(GoldenRat.make(GoldenInt(a, b), 2) for a, b in _twice_components(self.z)))
+        z = self.z
+        return Quat(*(GoldenRat.make(GoldenInt(sum(map(mul, z, a)), sum(map(mul, z, b))), 2)
+                      for a, b in _TWICE_AB))
 
     # -- ring structure ------------------------------------------------------
 
@@ -253,21 +250,46 @@ class ExtensionPair:
 ZBASIS: tuple[Icosian, ...] = tuple(
     Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 
-#: Twice the trace form Tr(nr) on Z^8, as an integer Gram.  _TWICE holds
-#: the components c_k doubled, so _TRACE4[i][j] = 4 Tr(sum_k c_k(f_i) c_k(f_j)),
-#: which must be even for its half to be an integer.
-_TRACE4 = [[sum((s * t).trace() for s, t in zip(fi, fj)) for fj in _TWICE] for fi in _TWICE]
-if any(x % 2 for row in _TRACE4 for x in row):
-    raise ConsistencyError("twice the trace form on Z^8 is not integral")
-TRACE_GRAM2: IntMatrix = tuple(tuple(x // 2 for x in row) for row in _TRACE4)
+#: index pairs i <= j of the Z^8 coordinates, in the order of `pair_products`
+_PAIRS: tuple[tuple[int, int], ...] = tuple(
+    (i, j) for i in range(8) for j in range(i, 8))
+
+
+def pair_products(zc: Sequence[int]) -> list[int]:
+    """The products z_i z_j, i <= j, in the order of `_PAIRS`: every quantity
+    quadratic in an icosian (its reduced norm, its conjugation matrix) is an
+    integer row dotted with them."""
+    return [a * b for i, a in enumerate(zc) for b in zc[i:]]
+
+
+def _nr_entries(twice: Sequence[Sequence[GoldenInt]]) -> list[GoldenInt]:
+    """nr as a form in the pair products: nr(f_i) on i == j, the polarisation
+    2 f_i . f_j on i < j.  `twice` holds the components of the f_i doubled,
+    so their products sum to 4 f_i . f_j, to be divided by 4 or 2 in Z[tau]."""
+    out = []
+    for i, j in _PAIRS:
+        s = sum((x * y for x, y in zip(twice[i], twice[j])), ZERO)
+        k = 4 if i == j else 2
+        if s.a % k or s.b % k:
+            raise ConsistencyError(f"reduced norm, pair {(i, j)}: {s}/{k} is not integral")
+        out.append(GoldenInt(s.a // k, s.b // k))
+    return out
+
+
+_NR = dict(zip(_PAIRS, _nr_entries(_TWICE)))
+#: nr(q) = w . NR_A + (w . NR_B) tau for the pair products w of q
+NR_A, NR_B = (tuple(e.a for e in _NR.values()), tuple(e.b for e in _NR.values()))
+#: Twice the trace form Tr(nr) on Z^8, as an integer Gram: the trace of the
+#: polarisation off the diagonal, and twice Tr nr(f_i) on it.
+TRACE_GRAM2: IntMatrix = tuple(
+    tuple(_NR[min(i, j), max(i, j)].trace() * (1 + (i == j)) for j in range(8))
+    for i in range(8))
 
 
 def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
-    """Reduced norm as a golden integer, straight from Z^8 coordinates: the
-    sum of the squared components, with (a + b tau)^2 = a^2 + b^2 + (2a + b) b tau."""
-    parts = _twice_components(zc)
-    return GoldenInt(sum(a * a + b * b for a, b in parts) // 4,
-                     sum((2 * a + b) * b for a, b in parts) // 4)
+    """Reduced norm as a golden integer, straight from Z^8 coordinates."""
+    w = pair_products(zc)
+    return GoldenInt(sum(map(mul, w, NR_A)), sum(map(mul, w, NR_B)))
 
 
 def is_primitive_zcoords(zc: Sequence[int]) -> bool:

@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul, neg
 from typing import Iterator, Sequence
 
 from .a4 import (
@@ -27,17 +28,18 @@ from .a4 import (
     csl_of,
     denominator_of,
     dual_lattice_gram,
-    l_rotation_zcoords,
+    l_rotation_pairs,
     matches_quat_rotation,
 )
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
 from .golden import GoldenInt, canonical_associate, gi_lcm_std
 from .icosian import (
+    NR_B,
     Icosian,
     enumerate_by_trace_norm,
     is_primitive_zcoords,
     norm_one_units,
-    nr_zcoords,
+    pair_products,
 )
 from .lattice import IntMatrix, _divisor_tuples, _ldl, forms_equivalent
 
@@ -198,33 +200,35 @@ def oracle_soc_count(n: int) -> int:
     icosian whose reduced norm is one of `admissible_nr_divisors(n)`.
     The search enumerates the full shell of icosians at the matching
     trace norm as Z^8 coordinates, one of each pair q, -q (both induce the
-    same map), keeps the primitive ones with the exact reduced norm,
-    collects their rotations as integer L-basis matrices over their
-    denominators (`l_rotation_zcoords`), closes under negation, and counts
-    them.  The first icosian of each norm is also rotated in Q(sqrt 5) and
-    must give the same map.  The total is a whole number of 120-element
-    cosets of the rotation symmetry group of the lattice; the quotient is
-    returned.
+    same map), and forms each vector's pair products once: they give the
+    tau part of its reduced norm and, for the primitive ones with the exact
+    reduced norm, its rotation as an integer L-basis matrix over its
+    denominator (`l_rotation_pairs`).  The rotations are closed under
+    negation and counted.  The first icosian of each norm is also rotated
+    in Q(sqrt 5) and must give the same map.  The total is a whole number
+    of 120-element cosets of the rotation symmetry group of the lattice;
+    the quotient is returned.
     """
     rotations = set()
     for d in admissible_nr_divisors(n):
         trace = 2 * d.a + d.b
         s = None
         for v in enumerate_by_trace_norm(trace):
-            if nr_zcoords(v) != d or not is_primitive_zcoords(v):
+            # the shell fixes Tr nr = 2a + b, so the tau parts decide nr == d
+            w = pair_products(v)
+            if sum(map(mul, w, NR_B)) != d.b or not is_primitive_zcoords(v):
                 continue
             first = s is None
             if first:
                 q = Icosian.from_zcoords(v)
                 s = q.scale()  # s^2 = nr(q) nr(q)' = N(d), one value per shell
-            m, den = l_rotation_zcoords(v, s)
+            m, den = l_rotation_pairs(w, s)
             if first and not matches_quat_rotation(q.rotation(), m, den):
                 raise ConsistencyError(
                     f"integer and Q(sqrt 5) rotations of {q} disagree")
             rotations.add((m, den))
-    closed = set(rotations)
-    for m, den in rotations:
-        closed.add((tuple(tuple(-x for x in row) for row in m), den))
+    closed = rotations | {(tuple(tuple(map(neg, row)) for row in m), den)
+                          for m, den in rotations}
     if len(closed) % 120:
         raise ConsistencyError(
             f"rotation count {len(closed)} is not a multiple of 120"

@@ -1,4 +1,4 @@
-"""Reference implementations for the SOC oracle's admissible reduced norms.
+"""Reference implementations for the SOC oracle.
 
 `admissible_nr_divisors` is the prime-by-prime construction that
 `a4csl.oracle.admissible_nr_divisors` replaced, kept verbatim: it builds
@@ -7,13 +7,23 @@ instead of testing the definition on a box of candidates.
 
 `definitional_divisors` tests the definition on a box of any half-width,
 so a wider box than the oracle's can show that the oracle's box misses
-nothing."""
+nothing.
+
+`soc_rotations` is the oracle's per-vector path before it formed each
+vector's pair products once, kept verbatim: the reduced norm summed from
+the squared quaternion components, the primitivity test, and the
+rotation reduced by gcd(s, content) before M^T C M = den^2 C is checked
+on all 16 entries and det M = den^4."""
 
 from __future__ import annotations
 
 import itertools
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
+from typing import Sequence
 
+from a4csl import a4
+from a4csl.a4 import CARTAN_A4
 from a4csl.golden import (
     ConsistencyError,
     GoldenInt,
@@ -23,6 +33,14 @@ from a4csl.golden import (
     prime_above,
     splitting_type,
 )
+from a4csl.icosian import (
+    _PAIRS,
+    _TWICE_AB,
+    enumerate_by_trace_norm,
+    is_primitive_zcoords,
+)
+from a4csl.lattice import det_int
+from a4csl.oracle import admissible_nr_divisors as oracle_nr_divisors
 
 
 def admissible_nr_divisors(n: int) -> tuple[GoldenInt, ...]:
@@ -86,3 +104,45 @@ def definitional_divisors(n: int, width: int) -> tuple[GoldenInt, ...]:
                     and canonical_associate(d) == d and gi_lcm_std(d, d.conj()) == target):
                 out.append(d)
     return tuple(out)
+
+
+def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
+    """Reduced norm as a golden integer, straight from Z^8 coordinates: the
+    sum of the squared components, with (a + b tau)^2 = a^2 + b^2 + (2a + b) b tau."""
+    parts = [(sum(map(mul, zc, a)), sum(map(mul, zc, b))) for a, b in _TWICE_AB]
+    return GoldenInt(sum(a * a + b * b for a, b in parts) // 4,
+                     sum((2 * a + b) * b for a, b in parts) // 4)
+
+
+def l_rotation_zcoords(zc: Sequence[int], s: int):
+    """The rotation of the icosian with Z^8 coordinates zc and scale s, as
+    (M, den), checked after the reduction by gcd(s, content)."""
+    w = [zc[i] * zc[j] for i, j in _PAIRS]
+    flat = [sum(map(mul, w, row)) for row in a4._conjugation_table()]
+    rows = tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
+    g = gcd(s, *(x for row in rows for x in row))
+    m = tuple(tuple(rows[c][k] // g for c in range(4)) for k in range(4))
+    den = s // g
+    cartan = CARTAN_A4
+    cm = [[sum(cartan[i][k] * m[k][j] for k in range(4)) for j in range(4)]
+          for i in range(4)]
+    d2 = den * den
+    if any(sum(m[k][i] * cm[k][j] for k in range(4)) != d2 * cartan[i][j]
+           for i in range(4) for j in range(4)):
+        raise ConsistencyError(f"rotation of {zc} does not preserve the A4 form")
+    if det_int(m) != d2 * d2:
+        raise ConsistencyError(f"rotation of {zc} does not have determinant +1")
+    return m, den
+
+
+def soc_rotations(n: int) -> set:
+    """The (M, den) of every primitive icosian of an admissible reduced norm
+    for index n, one per pair q, -q, before the closure under negation."""
+    rotations = set()
+    for d in oracle_nr_divisors(n):
+        s = isqrt(d.signed_norm())
+        for v in enumerate_by_trace_norm(2 * d.a + d.b):
+            if nr_zcoords(v) != d or not is_primitive_zcoords(v):
+                continue
+            rotations.add(l_rotation_zcoords(v, s))
+    return rotations

@@ -74,3 +74,28 @@ def test_stdout_closed_by_its_reader_exits_zero_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("fmt, first", [("text", b"-1 -3 2 0 0 0 0 0\n"), ("json", b"{\n")])
+def test_streamed_shell_closed_by_its_reader_exits_zero_quietly(fmt, first):
+    # trace norm 12 writes about 0.36 MB as text, and the shell is written
+    # as it is formatted, so the reader goes away mid-stream
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "a4csl.cli", "enumerate-icosians", "--trace-norm", "12",
+         "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == first
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_streamed_shell_file_matches_stdout(fmt, tmp_path, capsys):
+    argv = ["enumerate-icosians", "--trace-norm", "5", "--primitive", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "shell")]) == 0
+    assert (tmp_path / "shell").read_text(encoding="utf-8") == printed
+    assert printed.endswith("\n") and not printed.endswith("\n\n")

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a4csl.golden import ONE, RAT_ONE, TAU, GoldenInt, gi_gcd
+from a4csl import icosian
+from a4csl.golden import ONE, RAT_ONE, TAU, ConsistencyError, GoldenInt, gi_gcd
 from a4csl.icosian import (
     ICOSIAN_BASIS,
+    NR_A,
+    NR_B,
     TRACE_GRAM2,
     ZBASIS,
     Icosian,
@@ -18,6 +22,7 @@ from a4csl.icosian import (
     is_primitive_zcoords,
     norm_one_units,
     nr_zcoords,
+    pair_products,
     tr_frac,
 )
 from a4csl.lattice import _rat_inverse
@@ -112,6 +117,26 @@ def test_nr_zcoords_matches_quaternion_norm():
         zc = [rng.randint(-3, 3) for _ in range(8)]
         v = Icosian.from_zcoords(zc)
         assert nr_zcoords(zc) == v.quat.nr().as_golden_int()
+
+
+def test_corrupted_norm_row_raises():
+    # the table the module builds its norm rows from at import, with one
+    # doubled component of f_0 off by one: nr(f_0) is no longer integral
+    twice = [list(row) for row in icosian._TWICE]
+    assert icosian._nr_entries(twice) == list(icosian._NR.values())
+    twice[0][1] += 1
+    with pytest.raises(ConsistencyError, match=r"reduced norm, pair \(0, 0\)"):
+        icosian._nr_entries(twice)
+
+
+def test_norm_rows_are_the_trace_form():
+    # the shells fix Tr nr, so the tau row alone decides the reduced norm
+    for (i, j), e in icosian._NR.items():
+        assert e.trace() * (1 + (i == j)) == TRACE_GRAM2[i][j]
+    for zc in [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 2, -1, 3)]:
+        w = pair_products(zc)
+        assert w == [zc[i] * zc[j] for i, j in icosian._PAIRS]
+        assert nr_zcoords(zc) == GoldenInt(sum(map(mul, w, NR_A)), sum(map(mul, w, NR_B)))
 
 
 def box_count_trace_norm(t):

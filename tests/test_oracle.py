@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a4csl import oracle
 from a4csl.a4 import CARTAN_A4, dual_lattice_gram
 from a4csl.counting import f_soc, f_ssl
-from a4csl.golden import GoldenInt
+from a4csl.golden import ConsistencyError, GoldenInt
 from a4csl.lattice import det_int
 from a4csl.oracle import (
     _check_gram,
@@ -170,6 +171,55 @@ def test_check_gram_refuses_non_integral_entries():
 def test_soc_oracle_matches_formula():
     for n in range(1, 11):
         assert oracle_soc_count(n) == f_soc(n), n
+
+
+def test_soc_rotations_match_the_reference_path(monkeypatch):
+    # the oracle collects the same (M, den) set, before the closure under
+    # negation, as the per-vector path that summed the norm from components
+    # and checked the reduced matrix
+    kernel = oracle.l_rotation_pairs
+    collected = set()
+
+    def recording(w, s):
+        rotation = kernel(w, s)
+        collected.add(rotation)
+        return rotation
+
+    monkeypatch.setattr(oracle, "l_rotation_pairs", recording)
+    for n in range(1, 9):
+        collected.clear()
+        assert oracle_soc_count(n) == f_soc(n), n
+        assert collected == soc_reference.soc_rotations(n), n
+
+
+def test_soc_oracle_compares_the_first_rotation_with_quaternions(monkeypatch):
+    # -R passes both kernel checks and the closure hides it from the count:
+    # only the Q(sqrt 5) rotation of the first icosian tells it from R
+    kernel = oracle.l_rotation_pairs
+
+    def negated(w, s):
+        m, den = kernel(w, s)
+        return tuple(tuple(-x for x in row) for row in m), den
+
+    monkeypatch.setattr(oracle, "l_rotation_pairs", negated)
+    with pytest.raises(ConsistencyError, match="rotations of .* disagree"):
+        oracle_soc_count(2)
+
+
+def test_soc_oracle_requires_whole_cosets(monkeypatch):
+    # every icosian after the first of its shell maps to the identity
+    kernel = oracle.l_rotation_pairs
+    calls = []
+
+    def collapsing(w, s):
+        calls.append(w)
+        if len(calls) == 1:
+            return kernel(w, s)
+        return tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), 1
+
+    monkeypatch.setattr(oracle, "l_rotation_pairs", collapsing)
+    with pytest.raises(ConsistencyError, match="not a multiple of 120"):
+        oracle_soc_count(1)
 
 
 def test_csl_property_sampler_all_pass():

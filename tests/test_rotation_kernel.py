@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from a4csl import a4
 from a4csl.a4 import (
+    CARTAN_A4,
     L_BASIS,
     ConsistencyError,
     IrrationalDenominator,
@@ -24,8 +25,14 @@ from a4csl.a4 import (
     matches_quat_rotation,
     ssl_of,
 )
-from a4csl.icosian import Icosian, NotAdmissibleError, enumerate_by_trace_norm, nr_zcoords
-from a4csl.lattice import ExactLattice
+from a4csl.icosian import (
+    Icosian,
+    NotAdmissibleError,
+    enumerate_by_trace_norm,
+    nr_zcoords,
+    pair_products,
+)
+from a4csl.lattice import ExactLattice, det_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,14 +82,14 @@ def test_kernel_matches_quaternion_products_on_small_shells():
     shells = list(small_primitive_icosians())
     assert 2 * len(shells) == 4800  # trace norms 2..6; trace norm 1 is empty
     for q in shells:
-        assert _conjugation_matrix(q.zcoords()) == quat_rows(q), q
+        assert _conjugation_matrix(pair_products(q.zcoords())) == quat_rows(q), q
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[st.integers(-3, 3)] * 8))
 def test_kernel_matches_quaternion_products_on_drawn_coordinates(zc):
     q = Icosian.from_zcoords(zc)
-    assert _conjugation_matrix(zc) == quat_rows(q)
+    assert _conjugation_matrix(pair_products(zc)) == quat_rows(q)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,6 +144,69 @@ def test_corrupted_table_entry_makes_l_rotation_raise(monkeypatch):
     monkeypatch.setattr(a4, "_conjugation_table", lambda: corrupted)
     with pytest.raises(ConsistencyError):
         l_rotation(q)
+
+
+def reflected(rows):
+    """The rows composed with the simple reflection x -> x - (x . b_0) b_0
+    of A4: x_0 -> x_1 - x_0 on L-coordinates."""
+    return tuple((b - a, b, c, d) for a, b, c, d in rows)
+
+
+def test_reflection_preserves_the_form_with_determinant_minus_one():
+    p = reflected(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert det_int(p) == -1
+    pc = [[sum(p[i][k] * CARTAN_A4[k][j] for k in range(4)) for j in range(4)]
+          for i in range(4)]
+    assert all(sum(pc[i][k] * p[j][k] for k in range(4)) == CARTAN_A4[i][j]
+               for i in range(4) for j in range(4))
+
+
+def test_improper_rows_make_l_rotation_raise(monkeypatch):
+    # R C R^T = s^2 C still holds; only det R = -s^4 tells
+    q = Icosian.from_zcoords((1, 1, 0, 0, 0, 0, 0, 0))
+    kernel = a4._conjugation_matrix
+    monkeypatch.setattr(a4, "_conjugation_matrix", lambda w: reflected(kernel(w)))
+    with pytest.raises(ConsistencyError, match="determinant"):
+        l_rotation(q)
+
+
+def test_one_wrong_off_diagonal_product_makes_l_rotation_raise(monkeypatch):
+    # negating rows 0 and 1 keeps the diagonal of R C R^T and det R, and
+    # flips the one nonzero product of row 1 with row 2
+    q = Icosian.from_zcoords((1, 1, 0, 0, 0, 0, 0, 0))
+    kernel = a4._conjugation_matrix
+
+    def two_negated(w):
+        r0, r1, r2, r3 = kernel(w)
+        return tuple(-x for x in r0), tuple(-x for x in r1), r2, r3
+
+    monkeypatch.setattr(a4, "_conjugation_matrix", two_negated)
+    with pytest.raises(ConsistencyError, match="do not preserve the A4 form"):
+        l_rotation(q)
+
+
+def test_improper_rows_raise_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from a4csl import a4
+        from a4csl.icosian import Icosian
+        if not sys.flags.optimize:
+            sys.exit(9)
+        kernel = a4._conjugation_matrix
+        a4._conjugation_matrix = lambda w: tuple(
+            (b - a, b, c, d) for a, b, c, d in kernel(w))
+        try:
+            a4.l_rotation(Icosian.from_zcoords((1, 1, 0, 0, 0, 0, 0, 0)))
+        except a4.ConsistencyError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "do not have determinant +1" in proc.stdout
 
 
 def test_consistency_checks_run_under_optimize():
