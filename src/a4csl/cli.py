@@ -20,6 +20,7 @@ import re
 import sys
 from contextlib import nullcontext
 from itertools import chain
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .a4 import csl_of, denominator_of, ssl_of, sublattice_gram
@@ -29,6 +30,7 @@ from .counting import (
     f_soc_values,
     f_ssl_values,
 )
+from .golden import _MR_BOUND
 from .icosian import (
     Icosian,
     NotAdmissibleError,
@@ -54,6 +56,12 @@ _PROFILES = {
 _MAX_COUNT = 1_000_000
 _MAX_SERIES_LIMIT = 1_000_000
 _MAX_TRACE_NORM = 24
+# `csl` factors s^2 for the scale s = sqrt(nr(q) nr(q)') of its icosian,
+# and primality is decided only below golden._MR_BOUND.  Below the cap the
+# slowest scale is a product of two primes near 1.8 * 10^12, which rho
+# splits in about 10^6 steps: `csl 1677980717078 708113534483 0 0 0 0 0 0`
+# takes 3.0 s and 17 MB; the largest prime scale takes 0.3 s.
+_MAX_CSL_SCALE = _MR_BOUND - 1
 
 
 def _positive_int(text: str) -> int:
@@ -138,6 +146,9 @@ def _cmd_series(args, parser) -> int:
 
 def _cmd_csl(args, parser) -> int:
     q = _parse_zcoords(args.coords, parser)
+    scale = isqrt(q.norm_quadruple())
+    if scale > _MAX_CSL_SCALE:
+        parser.error(f"icosian scale {scale} is above the limit {_MAX_CSL_SCALE}")
     result = csl_of(q)
     den = denominator_of(q)
     ext = result.extension

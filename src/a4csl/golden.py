@@ -502,7 +502,9 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     Exact for every n whose prime factors above 2^20 lie below
     3317044064679887385961981, the range where the Miller-Rabin bases
     decide primality; a cofactor beyond it that the bases cannot prove
-    composite raises ValueError.
+    composite raises ValueError.  A composite cofactor that is a perfect
+    square is split by isqrt before rho runs on it: rho finds p in p^2
+    only after about sqrt(p) steps.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -520,16 +522,21 @@ def factor_int(n: int) -> list[tuple[int, int]]:
             while n % d == 0:
                 out[d] = out.get(d, 0) + 1
                 n //= d
-    stack = [n] if n > 1 else []
+    # (cofactor, multiplicity) pairs whose product is what is left of n
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * e))
             continue
         d = _pollard_rho(m)
-        stack.extend((d, m // d))
+        stack.extend(((d, e), (m // d, e)))
     return sorted(out.items())
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from operator import index
+from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -287,8 +287,10 @@ def lll_reduce_gram(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix
     Returns (reduced, u) with reduced = u * gram * u^T and u unimodular.
     delta = 3/4.  The basis changes are integer row operations, so the
     Gram stays integer, and the Gram-Schmidt data are kept as the integers
-    D and P of `_ldl`.  Size reduction updates P in place (D does
-    not change); D and P are rebuilt from the Gram only after a swap.
+    D and P of `_ldl`, computed once from the input Gram.  Size reduction
+    updates P in place (D does not change); a swap of rows k-1 and k
+    updates them by the integral swap formulas (Cohen, Alg. 2.6.7), which
+    change only D[k] and columns k-1 and k of P, every division exact.
     """
     n = len(gram)
     a = [list(row) for row in gram]
@@ -325,7 +327,16 @@ def lll_reduce_gram(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix
             for row in a:
                 row[k], row[k - 1] = row[k - 1], row[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            d, p = _ldl(a)
+            pk, pk1 = p[k], p[k - 1]
+            pk[:k - 1], pk1[:k - 1] = pk1[:k - 1], pk[:k - 1]
+            lam = pk[k - 1]  # unchanged by the swap
+            dk, dk1 = d[k], d[k + 1]
+            b = (d[k - 1] * dk1 + lam * lam) // dk
+            for pi in p[k + 1:]:
+                t = pi[k]
+                pi[k] = (dk1 * pi[k - 1] - lam * t) // dk
+                pi[k - 1] = (b * t + lam * pi[k]) // dk1
+            d[k] = b
             k = max(k - 1, 1)
     return tuple(tuple(x) for x in a), tuple(tuple(r) for r in u)
 
@@ -336,7 +347,8 @@ def short_vectors(gram: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[t
     G must be a symmetric positive definite integer Gram.  Uses exact
     Fincke-Pohst style enumeration in integers; the sign convention keeps
     the representative whose last nonzero coordinate is positive, and the
-    order is deterministic.
+    order is deterministic.  The first coordinate is the innermost loop,
+    which yields its vectors itself.
     """
     n = len(gram)
     bound = index(bound)
@@ -352,22 +364,28 @@ def short_vectors(gram: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[t
     x = [0] * n
 
     def rec(i: int, remaining: int, higher_zero: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i < 0:
-            if not higher_zero:
-                yield tuple(x), (top - remaining) // lam
-            return
         t = sum(p[j][i] * x[j] for j in range(i + 1, n))
         di, wi = d[i + 1], w[i]
         # x_i ranges over the integers with |x_i D[i+1] + t| <= r
         r = isqrt(remaining // wi)
         start = 0 if higher_zero else -((r + t) // di)
-        for xi in range(start, (r - t) // di + 1):
+        stop = (r - t) // di + 1
+        if i:
+            for xi in range(start, stop):
+                s = xi * di + t
+                x[i] = xi
+                yield from rec(i - 1, remaining - wi * s * s, higher_zero and xi == 0)
+            x[i] = 0
+            return
+        # the first coordinate: x_0 = 0 with every higher x_j = 0 is the zero vector
+        used = top - remaining
+        for xi in range(1 if higher_zero else start, stop):
             s = xi * di + t
-            x[i] = xi
-            yield from rec(i - 1, remaining - wi * s * s, higher_zero and xi == 0)
-        x[i] = 0
+            x[0] = xi
+            yield tuple(x), (used + wi * s * s) // lam
 
-    yield from rec(n - 1, top, True)
+    if n:
+        yield from rec(n - 1, top, True)
 
 
 def _walk(r: IntMatrix, max_diag: int) -> tuple[dict[int, int], dict[int, list[tuple[int, ...]]]]:
@@ -384,11 +402,12 @@ def _walk(r: IntMatrix, max_diag: int) -> tuple[dict[int, int], dict[int, list[t
 
 
 @lru_cache(maxsize=8)
-def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, dict[int, int]]:
-    """The LLL-reduced form of a target Gram and its theta counts up to
-    twice its largest diagonal entry, computed once per target."""
+def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, dict[int, int]]:
+    """The LLL-reduced form of a target Gram, its determinant and its theta
+    counts up to twice its largest diagonal entry, computed once per
+    target."""
     r2, _ = lll_reduce_gram(g2)  # raises unless g2 passes the Gram gate
-    return r2, _walk(r2, max(r2[i][i] for i in range(len(r2))))[0]
+    return r2, det_int(r2), _walk(r2, max(r2[i][i] for i in range(len(r2))))[0]
 
 
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -400,17 +419,20 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
     first, then a theta-series prefilter (pair counts at norms up to twice
     the largest diagonal entry of the reduced G2) rejects most inequivalent
     pairs before the backtracking search over short vectors, which the
-    same walk of the reduced G1 supplies.  The reduced G2 and its theta
-    counts are cached per G2, so a search against one fixed target reduces
-    that target once.
+    same walk of the reduced G1 supplies.  The search keeps the product
+    R1 v of each chosen vector v, so a candidate c is tested against it
+    with the single dot product c . R1 v, whose value decides c and -c
+    alike.  The reduced G2, its determinant and its theta counts are
+    cached per G2, so a search against one fixed target reduces that
+    target once.
     """
     r1, _ = lll_reduce_gram(g1)  # raises unless g1 passes the Gram gate
     # integer keys, so a float target cannot share an integer target's entry
-    r2, theta2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
+    r2, det2, theta2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
     n = len(r1)
     if len(r2) != n:
         raise ValueError("dimension mismatch")
-    if det_int(r1) != det_int(r2):
+    if det_int(r1) != det2:
         raise ValueError("determinants differ; forms live in different genera")
 
     max_diag = max(r2[i][i] for i in range(n))
@@ -418,21 +440,33 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
     if theta1 != theta2:
         return False
 
-    def inner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        return sum(u[i] * r1[i][j] * v[j] for i in range(n) for j in range(n))
-
-    chosen: list[tuple[int, ...]] = []
+    # products[j] = R1 v_j for the j-th chosen vector v_j
+    products: list[tuple[int, ...]] = []
 
     def extend(k: int) -> bool:
         if k == n:
             return True
-        for cand in by_norm.get(r2[k][k], ()):
-            for vec in (cand, tuple(-c for c in cand)):
-                if all(inner(vec, chosen[j]) == r2[k][j] for j in range(k)):
-                    chosen.append(vec)
-                    if extend(k + 1):
-                        return True
-                    chosen.pop()
+        want = r2[k]
+        for cand in by_norm.get(want[k], ()):
+            # c . R1 v_j == want[j] for every j accepts c, == -want[j] accepts -c
+            plus = minus = True
+            for rv, w in zip(products, want):
+                x = sum(map(mul, cand, rv))
+                plus = plus and x == w
+                minus = minus and x == -w
+                if not (plus or minus):
+                    break
+            if plus and choose(k, cand):
+                return True
+            if minus and choose(k, tuple(-c for c in cand)):
+                return True
+        return False
+
+    def choose(k: int, vec: tuple[int, ...]) -> bool:
+        products.append(tuple(sum(map(mul, row, vec)) for row in r1))
+        if extend(k + 1):
+            return True
+        products.pop()
         return False
 
     return extend(0)

@@ -71,18 +71,20 @@ def _ssl_candidates(m: int, g: IntMatrix) -> Iterator[list[list[int]]]:
     (mod m) and its norm are carried along; the last coordinate t is then
     solved from the linear congruences res + t (G r)[n-1] = 0 (mod m),
     folded into one progression t = start (mod step), and only those t
-    get the quadratic norm test.  A value of t is skipped exactly when one
-    of the divisibility tests fails, so the yielded Grams, and their
-    order, are those of testing every complete row.
+    get the quadratic norm test.  The fold's divisors, inverses and steps
+    depend only on the fixed rows, so they are computed once per row, and
+    a leaf is left with its residue tests.  The fold's first test is
+    linear in the second-to-last coordinate, so it is solved for that
+    coordinate too, and only its progression is visited.  A row is
+    skipped exactly when one of the divisibility tests fails, so the
+    yielded Grams, and their order, are those of testing every complete
+    row.
     """
     n = len(g)
     last = n - 1
     g_ll = g[last][last]
     # an even ambient form forces even diagonal on the rescaled form
     self_mod = 2 * m if all(g[i][i] % 2 == 0 for i in range(n)) else m
-
-    def times_g(v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(row[j] * v[j] for j in range(n)) for row in g)
 
     for diag in _divisor_tuples(m * m, n):
 
@@ -95,47 +97,72 @@ def _ssl_candidates(m: int, g: IntMatrix) -> Iterator[list[list[int]]]:
             if level == last:
                 return [tuple(vec)] if d * d * g_ll % self_mod == 0 else []
             out: list[tuple[int, ...]] = []
+            # g_cols[c][j] = grows[j][c]: what column c adds to each res[j]
+            g_cols = list(zip(*grows))
 
-            # res[r] = vec . (G r) and q = vec . G vec for the coordinates set so far
+            # fold each a + c t = 0 (mod m), in the order of grows, into
+            # t = start (mod step): b = c * (the step so far), k = gcd(b, m)
+            # divides a, and t moves on by the step times -(a/k) (b/k)^-1
+            # mod m/k; all but a are fixed by the rows below
+            fold = []
+            step = 1
+            for c in g_cols[last]:
+                b = c * step
+                k = gcd(b, m)
+                mk = m // k
+                fold.append((c, step, k, mk, pow(b // k, -1, mk)))
+                step *= mk
+            # the first test is k0 | a0, and a0 = res[0] + u e for the
+            # coordinate u at column n-2 (when it is free) and e = grows[0][n-2]:
+            # it holds exactly for u = u0 (mod hstep)
+            if level < last - 1:
+                k0, e = fold[0][2], g_cols[last - 1][0]
+                ge = gcd(e, k0)
+                hstep = k0 // ge
+                hinv = pow(e // ge, -1, hstep)
+
+            # res[j] = vec . grows[j] and q = vec . G vec for the coordinates
+            # set so far; h2 = 2 (G vec)[col], as the later coordinates are 0
             def free(col: int, res: list[int], q: int) -> None:
-                # h = sum over c < col of G[col][c] vec[c]; later coordinates are 0
-                h2 = 2 * sum(g[col][c] * vec[c] for c in range(level, col))
                 if col < last:
-                    g_col, g_cc = [gr[col] for gr in grows], g[col][col]
-                    for t in range(diag[col]):
+                    t0, dt = 0, 1
+                    if col == last - 1:
+                        a = res[0]
+                        if a % ge:
+                            return
+                        t0, dt = -(a // ge) * hinv % hstep, hstep
+                    g_col, g_row = g_cols[col], g[col]
+                    h2, g_cc = 2 * sum(map(mul, g_row, vec)), g_row[col]
+                    for t in range(t0, diag[col], dt):
                         vec[col] = t
                         free(col + 1, [a + t * b for a, b in zip(res, g_col)],
                              q + t * (h2 + g_cc * t))
                     vec[col] = 0
                     return
-                # fold each a + b t = 0 (mod m) into t = start (mod step), step | m
-                start, step = 0, 1
-                for a, gr in zip(res, grows):
-                    a += gr[last] * start
-                    b = gr[last] * step
-                    k = gcd(b, m)
+                start = 0
+                for a, (c, st, k, mk, inv) in zip(res, fold):
+                    a += c * start
                     if a % k:
                         return
-                    mk = m // k
-                    start += step * (-(a // k) * pow(b // k, -1, mk) % mk)
-                    step *= mk
+                    start += st * (-(a // k) * inv % mk)
+                h2 = 2 * sum(map(mul, g[last], vec))
                 for t in range(start, diag[last], step):
                     if (q + t * (h2 + g_ll * t)) % self_mod == 0:
                         vec[last] = t
                         out.append(tuple(vec))
                 vec[last] = 0
 
-            free(level + 1, [d * gr[level] for gr in grows], d * d * g[level][level])
+            free(level + 1, [d * x for x in g_cols[level]], d * d * g[level][level])
             return out
 
         def build(level: int, rows: list[tuple[int, ...]],
                   grows: list[tuple[int, ...]]) -> Iterator[list[list[int]]]:
             if level < 0:
-                yield [[sum(u[i] * gv[i] for i in range(n)) // m for gv in grows]
-                       for u in rows]
+                yield [[sum(map(mul, u, gv)) // m for gv in grows] for u in rows]
                 return
             for vec in rows_at(level, grows):
-                yield from build(level - 1, [vec] + rows, [times_g(vec)] + grows)
+                gvec = tuple(sum(map(mul, row, vec)) for row in g)
+                yield from build(level - 1, [vec] + rows, [gvec] + grows)
 
         yield from build(last, [], [])
 

@@ -33,10 +33,20 @@ def test_bad_numbers_exit_two(argv, capsys):
     ["count", "soc", "--max", "10000000000"],
     ["series", "soc", "--limit", "1000001"],
     ["enumerate-icosians", "--trace-norm", "25"],
+    # scale 10^34 + 6 * 10^17 + 10, above golden._MR_BOUND
+    ["csl", "100000000000000003", "1", "0", "0", "0", "0", "0", "0"],
 ])
 def test_sizes_above_their_cap_exit_two(argv, capsys):
     assert main(argv) == 2
     assert "is above the limit" in capsys.readouterr().err
+
+
+def test_csl_scale_below_the_cap_is_accepted(tmp_path):
+    # the largest prime scale below the cap, 1508451006103^2 + 1020597681198^2
+    out = tmp_path / "csl.txt"
+    assert main(["csl", "1508451006103", "1020597681198", "0", "0", "0", "0", "0", "0",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "lattice index: 3317044064679887385961813"
 
 
 def test_sizes_at_their_cap_are_accepted():

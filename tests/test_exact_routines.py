@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from a4csl import icosian, lattice, oracle
+from a4csl import golden, icosian, lattice, oracle
+from a4csl.a4 import csl_of
 from a4csl.counting import f_soc
 from a4csl.golden import RAT_ONE, RAT_ZERO, _is_prime, factor_int
 from a4csl.lattice import _divisor_tuples, _rat_inverse
@@ -83,6 +84,19 @@ def test_factor_int_matches_naive_trial_division():
 
     for n in range(1, 3000):
         assert factor_int(n) == naive(n)
+
+
+def test_square_cofactors_are_split_without_rho(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho ran on {n}")
+
+    monkeypatch.setattr(golden, "_pollard_rho", no_rho)
+    s = 1000072001297  # prime, the scale of the icosian (1000036, 1, 0, ..., 0)
+    assert _is_prime(s)
+    assert factor_int(s**2) == [(s, 2)]
+    assert factor_int(9 * s**4) == [(3, 2), (s, 4)]
+    # that icosian's CSL factors s^2 twice, on both conjugates of nr
+    assert csl_of(icosian.Icosian.from_zcoords((1000036, 1, 0, 0, 0, 0, 0, 0))).sigma == s
 
 
 def test_large_cofactors_still_factor_when_decidable():

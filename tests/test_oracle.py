@@ -105,6 +105,11 @@ def test_ssl_candidates_match_leaf_testing_search_in_four_dimensions():
     for g in (CARTAN_A4, dual_lattice_gram(), G_MOD):
         for m in range(1, 13):
             assert list(_ssl_candidates(m, g)) == reference_candidates(m, g), (g, m)
+    # composite scales, where the per-row fold and the solved second-to-last
+    # coordinate prune the most
+    for g in (CARTAN_A4, dual_lattice_gram()):
+        for m in (16, 20, 25):
+            assert list(_ssl_candidates(m, g)) == reference_candidates(m, g), (g, m)
 
 
 def test_ssl_candidates_match_leaf_testing_search_in_low_dimensions():

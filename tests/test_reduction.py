@@ -21,6 +21,7 @@ from a4csl.lattice import (
     lll_reduce_gram,
     short_vectors,
 )
+from a4csl.oracle import _ssl_candidates
 import fraction_reference as reference
 from fraction_reference import _gso_from_gram
 
@@ -112,6 +113,16 @@ def test_lll_matches_fraction_reduction(case):
     g, u = case
     h = conjugate(u, g)
     assert lll_reduce_gram(h) == reference.lll_reduce_gram(h)
+
+
+def test_lll_matches_fraction_reduction_on_ssl_candidates():
+    # every candidate Gram of the benchmark's SSL work list, where the
+    # reduction swaps the most
+    work = [(CARTAN_A4, m) for m in (16, 19, 20, 25)] + [(DUAL, m) for m in (5, 9, 16, 19)]
+    forms = [c for g, m in work for c in _ssl_candidates(m, g)]
+    assert len(forms) == 366
+    for c in forms:
+        assert lll_reduce_gram(c) == reference.lll_reduce_gram(c), c
 
 
 @settings(max_examples=150, deadline=None)
