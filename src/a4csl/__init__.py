@@ -7,7 +7,7 @@ from .golden import (
     GoldenFactorization,
     gi_gcd,
     gi_factor,
-    gi_lcm_std,
+    gi_lcm_conj,
     gi_sqrt,
     canonical_associate,
 )

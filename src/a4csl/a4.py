@@ -18,6 +18,8 @@ module turns the algebra into explicit integer sublattices of A4, each an
 * `l_rotation` gives that rotation as an integer matrix in the L basis over
   its denominator, the canonical form the rotation counts work with.
 
+L-coordinates are read from Z^8 coordinates through the integer inverse of
+a unimodular block of the L basis's Z^8 rows, and checked against all eight.
 `ssl_of`, `denominator_of` and `l_rotation` read q x twist(q) on L from one
 integer table (`_conjugation_matrix`) that is quadratic in the Z^8
 coordinates of q, so they do no Q(sqrt 5) arithmetic per icosian.  The
@@ -44,8 +46,8 @@ from .icosian import (
     ZBASIS,
     ExtensionPair,
     Icosian,
-    _coords_from_inverse,
     _half,
+    _zcoords_scaled,
     pair_products,
     tr_frac,
 )
@@ -53,7 +55,6 @@ from .lattice import (
     ExactLattice,
     IntMatrix,
     _adjugate,
-    _rat_inverse,
     det_int,
     lattice_intersect,
 )
@@ -83,11 +84,12 @@ def phi_plus(q: Quat) -> Quat:
     return q + q.twist()
 
 
-_LB_INV = _rat_inverse([list(b.components()) for b in L_BASIS])
-
-
 # the Z^8 coordinates of the L basis; from_quat raises if one is not an icosian
 _L_ZCOORDS = [Icosian.from_quat(b).z for b in L_BASIS]
+_L_ZCOLS = tuple(zip(*_L_ZCOORDS))
+# their columns 0-3, a unimodular block B0: a point x . B of the span has
+# L-coordinates x = z[:4] B0^-1 for its Z^8 coordinates z
+_L_BLOCK = [z[:4] for z in _L_ZCOORDS]
 
 
 def _check_basis() -> None:
@@ -98,9 +100,14 @@ def _check_basis() -> None:
             for i in range(4)]
     if gram != [[Fraction(x) for x in row] for row in CARTAN_A4]:
         raise ConsistencyError(f"L basis has Gram {gram}, not the A4 Cartan matrix")
+    if det_int(_L_BLOCK) not in (1, -1):
+        raise ConsistencyError(f"the L basis block {_L_BLOCK} is not unimodular")
 
 
 _check_basis()
+# B0^-1 = det(B0) adj(B0), by columns
+_L_BLOCK_INV_COLS = tuple(zip(*([det_int(_L_BLOCK) * x for x in row]
+                                for row in _adjugate(_L_BLOCK))))
 
 
 def dual_lattice_gram() -> IntMatrix:
@@ -112,26 +119,32 @@ def dual_lattice_gram() -> IntMatrix:
     return tuple(tuple(row) for row in _adjugate(CARTAN_A4))
 
 
+def _l_coords_scaled(q: Quat) -> tuple[list[int], int]:
+    """The L-coordinates of q as integer numerators over one denominator,
+    read from its Z^8 coordinates through the block inverse; ValueError
+    unless q lies in the rational span of the L basis."""
+    num, den = _zcoords_scaled(q)
+    x = [sum(map(mul, num[:4], col)) for col in _L_BLOCK_INV_COLS]
+    if [sum(map(mul, x, col)) for col in _L_ZCOLS] != num:
+        raise ValueError(f"{q} is not in the rational span of the L basis")
+    return x, den
+
+
 def l_coords_rational(q: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Coordinates of a twist-fixed quaternion in the L basis; they are
-    always rational (the tau parts cancel), and this is checked."""
-    out = []
-    for x in _coords_from_inverse(q, _LB_INV):
-        a, b = x.as_fraction_pair()
-        if b:
-            raise ValueError(f"{q} is not in the rational span of the L basis")
-        out.append(a)
-    return tuple(out)
+    always rational, and q off their rational span raises ValueError."""
+    x, den = _l_coords_scaled(q)
+    return tuple(Fraction(v, den) for v in x)
 
 
 def l_coords(q: Quat | Icosian) -> tuple[int, int, int, int]:
     """Integer coordinates of a lattice point of L; raises ValueError for
     quaternions outside L."""
     quat = q.quat if isinstance(q, Icosian) else q
-    rat = l_coords_rational(quat)
-    if any(x.denominator != 1 for x in rat):
+    x, den = _l_coords_scaled(quat)
+    if any(v % den for v in x):
         raise ValueError(f"{quat} is not a point of the root lattice")
-    return tuple(int(x) for x in rat)
+    return tuple(v // den for v in x)
 
 
 def l_point(coords: Sequence[int]) -> Icosian:
@@ -145,12 +158,10 @@ def l_point(coords: Sequence[int]) -> Icosian:
 def _table_l_coords(image: Quat, entry: str) -> tuple[int, int, int, int]:
     """The L-coordinates of a table entry, which must be integers; a
     ConsistencyError names the entry otherwise."""
-    out = []
-    for x in _coords_from_inverse(image, _LB_INV):
-        if not (x.is_integral() and x.is_rational()):
-            raise ConsistencyError(f"{entry}: coordinate {x} is not an integer")
-        out.append(x.num.a)
-    return tuple(out)
+    try:
+        return l_coords(image)
+    except ValueError as err:
+        raise ConsistencyError(f"{entry}: {err}") from None
 
 
 @lru_cache(maxsize=1)

@@ -59,8 +59,9 @@ _MAX_TRACE_NORM = 24
 # `csl` factors s^2 for the scale s = sqrt(nr(q) nr(q)') of its icosian,
 # and primality is decided only below golden._MR_BOUND.  Below the cap the
 # slowest scale is a product of two primes near 1.8 * 10^12, which rho
-# splits in about 10^6 steps: `csl 1677980717078 708113534483 0 0 0 0 0 0`
-# takes 3.0 s and 17 MB; the largest prime scale takes 0.3 s.
+# splits in about 10^6 steps, once per icosian:
+# `csl 1677980717078 708113534483 0 0 0 0 0 0` takes 1.4 s and 17 MB; the
+# largest prime scale takes 0.3 s.
 _MAX_CSL_SCALE = _MR_BOUND - 1
 
 
@@ -82,8 +83,10 @@ def _size_at_most(cap: int):
 
 
 def _thread_count(text: str) -> int:
-    """A positive worker count, clamped to the number of CPUs."""
-    return min(_positive_int(text), os.cpu_count() or 1)
+    """A positive worker count, clamped to the CPUs this process may run on
+    (its affinity mask where the platform has one)."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_positive_int(text), usable or 1)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--profile", choices=tuple(_PROFILES), default="default")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--threads", type=_thread_count, default=1,
-                          help="worker processes (at most the CPU count)")
+                          help="worker processes (at most the usable CPUs)")
     _add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -296,12 +296,6 @@ class GoldenRat:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other: GoldenRat | GoldenInt | int) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __neg__(self) -> GoldenRat:
         return GoldenRat(-self.num, self.den)
 
@@ -316,18 +310,6 @@ class GoldenRat:
 
     def conj(self) -> GoldenRat:
         return GoldenRat(self.num.conj(), self.den)
-
-    def sign_embedding(self) -> int:
-        return self.num.sign_embedding()
-
-    def sign_conj_embedding(self) -> int:
-        return self.num.sign_conj_embedding()
-
-    def is_totally_positive(self) -> bool:
-        return self.num.is_totally_positive()
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def as_golden_int(self) -> GoldenInt:
         if self.den != 1:
@@ -628,20 +610,16 @@ def gi_factor(x: GoldenInt | int) -> GoldenFactorization:
     return GoldenFactorization(remaining, tuple(found))
 
 
-def gi_lcm_std(x: GoldenInt | int, y: GoldenInt | int) -> GoldenInt:
-    """Standardized lcm: exponentwise max of the ideal factorizations,
-    returned as the canonical (totally positive, windowed) generator.
-
-    When the lcm ideal is stable under conjugation and has a rational
-    generator, the canonical associate is exactly that positive rational
-    integer, which is the form the coincidence-index computations need.
-    """
-    fx, fy = gi_factor(x), gi_factor(y)
-    exps: dict[GoldenInt, int] = dict(fx.factors)
-    for prime, e in fy.factors:
-        if exps.get(prime, 0) < e:
-            exps[prime] = e
+def gi_lcm_conj(x: GoldenInt | int) -> GoldenInt:
+    """lcm(x, x') as its canonical (totally positive, windowed) generator,
+    from one factorization: each canonical prime pi of x and the canonical
+    associate of pi' get the larger of their two exponents.  A rational
+    generator comes out as that positive integer, the coincidence index."""
+    exps: dict[GoldenInt, int] = {}
+    for prime, e in gi_factor(x).factors:
+        for p in (prime, canonical_associate(prime.conj())):
+            exps[p] = max(exps.get(p, 0), e)
     out = ONE
-    for prime, e in sorted(exps.items(), key=lambda fe: (fe[0].norm(), fe[0].a, fe[0].b)):
+    for prime, e in exps.items():
         out = out * prime ** e
     return canonical_associate(out)

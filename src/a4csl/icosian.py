@@ -10,6 +10,8 @@ so as a Z-module the ring is free of rank 8 on e1..e4, tau*e1..tau*e4.  An
 else.  Sums, differences, scaling by a golden integer, the reduced norm and
 primitivity run on those integers; the quaternion value is derived from
 them only where a product, conjugate, twist or printed rotation needs it.
+`from_quat` reads a quaternion's coordinates through the adjugate of one
+8x8 integer matrix, `_ZMAP`, and tests them for divisibility.
 The trace form Tr(nr(x)) makes Z^8 a positive definite lattice; its
 polarisation has half-integral entries, so the module keeps twice the form
 as an integer Gram and enumerates its shells exactly.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -33,10 +35,10 @@ from .golden import (
     GoldenInt,
     GoldenRat,
     gi_gcd,
-    gi_lcm_std,
+    gi_lcm_conj,
     gi_sqrt,
 )
-from .lattice import IntMatrix, _rat_inverse, short_vectors
+from .lattice import IntMatrix, _adjugate, det_int, short_vectors
 from .quaternion import Quat, RotationMatrix, rotation_matrix
 
 
@@ -67,31 +69,26 @@ ICOSIAN_BASIS: tuple[Quat, ...] = (
 )
 
 
-# rows of _E are the basis icosians written in components 1, i, j, k
-_E: list[list[GoldenRat]] = [list(e.components()) for e in ICOSIAN_BASIS]
-_E_INV: list[list[GoldenRat]] = _rat_inverse(_E)
-
-
-def _coords_from_inverse(q: Quat, inv: Sequence[Sequence[GoldenRat]]
-                         ) -> tuple[GoldenRat, GoldenRat, GoldenRat, GoldenRat]:
-    """Coefficients of q in the basis whose component matrix has inverse inv."""
-    comps = q.components()
-    return tuple(
-        sum((comps[k] * inv[k][i] for k in range(4)), RAT_ZERO)
-        for i in range(4)
-    )
-
-
-def basis_coordinates(q: Quat) -> tuple[GoldenRat, GoldenRat, GoldenRat, GoldenRat]:
-    """Coefficients x with q = sum x_i e_i, as exact golden rationals."""
-    return _coords_from_inverse(q, _E_INV)
-
-
 # twice the components 1, i, j, k of the Z-basis e1..e4, tau*e1..tau*e4 lie
-# in Z[tau]; _TWICE_AB[k] holds the a and the b parts of component k
+# in Z[tau]
 _TWICE: list[list[GoldenInt]] = [[(2 * c * t).as_golden_int() for c in e.components()]
                                  for t in (1, TAU) for e in ICOSIAN_BASIS]
-_TWICE_AB = [([row[k].a for row in _TWICE], [row[k].b for row in _TWICE]) for k in range(4)]
+#: Row k holds the a parts, then the b parts, of twice the components of the
+#: k-th Z-basis icosian: z . _ZMAP is that vector for 2q, q with coordinates z.
+_ZMAP: IntMatrix = tuple(tuple(c.a for c in row) + tuple(c.b for c in row) for row in _TWICE)
+_ZMAP_COLS = tuple(zip(*_ZMAP))
+_ZMAP_ADJ_COLS = tuple(zip(*_adjugate(_ZMAP)))
+_ZMAP_DET = det_int(_ZMAP)
+
+
+def _zcoords_scaled(q: Quat) -> tuple[list[int], int]:
+    """q's Z^8 coordinates as integer numerators over one denominator: for d
+    the lcm of its component denominators, the a and b parts of 2dq times
+    adj(_ZMAP), over d det(_ZMAP)."""
+    comps = q.components()
+    d = lcm(*(c.den for c in comps))
+    v = [2 * d // c.den * c.num.a for c in comps] + [2 * d // c.den * c.num.b for c in comps]
+    return [sum(map(mul, v, col)) for col in _ZMAP_ADJ_COLS], d * _ZMAP_DET
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +102,10 @@ class Icosian:
 
     @staticmethod
     def from_quat(q: Quat) -> Icosian:
-        xs = basis_coordinates(q)
-        if any(not x.is_integral() for x in xs):
+        num, den = _zcoords_scaled(q)
+        if any(x % den for x in num):
             raise ValueError(f"{q} is not in the icosian ring")
-        return Icosian(tuple(x.num.a for x in xs) + tuple(x.num.b for x in xs))
+        return Icosian(tuple(x // den for x in num))
 
     @staticmethod
     def from_zcoords(zc: Iterable[int]) -> Icosian:
@@ -130,10 +127,9 @@ class Icosian:
 
     @property
     def quat(self) -> Quat:
-        """The quaternion value, each component summed in integers over 2."""
-        z = self.z
-        return Quat(*(GoldenRat.make(GoldenInt(sum(map(mul, z, a)), sum(map(mul, z, b))), 2)
-                      for a, b in _TWICE_AB))
+        """The quaternion value, z . _ZMAP over 2 read as four golden parts."""
+        v = [sum(map(mul, self.z, col)) for col in _ZMAP_COLS]
+        return Quat(*(GoldenRat.make(GoldenInt(v[k], v[4 + k]), 2) for k in range(4)))
 
     # -- ring structure ------------------------------------------------------
 
@@ -211,7 +207,7 @@ class Icosian:
             raise NotPrimitiveError(f"{self} has non-unit content")
         s = self.scale()  # raises NotAdmissibleError if need be
         n = self.nr()
-        m_gi = gi_lcm_std(n, n.conj())
+        m_gi = gi_lcm_conj(n)
         if m_gi.b != 0 or m_gi.a <= 0:
             raise ConsistencyError(
                 f"lcm(nr, nr') = {m_gi} should be a positive rational integer")

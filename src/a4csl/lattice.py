@@ -105,27 +105,6 @@ def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
-# -- rational lattices ----------------------------------------------------
-
-def _rat_inverse(m: Sequence[Sequence]) -> list[list]:
-    """Gauss-Jordan inverse over an exact field (Fraction or GoldenRat
-    entries); raises ValueError on a singular matrix."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
 def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer adjugate, adj(m) m = det(m) I, from the cofactors."""
     n = len(m)
@@ -133,6 +112,8 @@ def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
                                         for k, r in enumerate(m) if k != j])
              for j in range(n)] for i in range(n)]
 
+
+# -- rational lattices ----------------------------------------------------
 
 @dataclass(frozen=True)
 class ExactLattice:

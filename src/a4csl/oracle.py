@@ -32,7 +32,7 @@ from .a4 import (
     matches_quat_rotation,
 )
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
-from .golden import GoldenInt, canonical_associate, gi_lcm_std
+from .golden import GoldenInt, canonical_associate, gi_lcm_conj
 from .icosian import (
     NR_B,
     Icosian,
@@ -215,7 +215,7 @@ def admissible_nr_divisors(n: int) -> tuple[GoldenInt, ...]:
                 continue
             d = GoldenInt(a, b)
             if (d.is_totally_positive() and target.divisible_by(d)
-                    and canonical_associate(d) == d and gi_lcm_std(d, d.conj()) == target):
+                    and canonical_associate(d) == d and gi_lcm_conj(d) == target):
                 out.append(d)
     return tuple(out)
 

@@ -29,13 +29,13 @@ from a4csl.golden import (
     GoldenInt,
     canonical_associate,
     factor_int,
-    gi_lcm_std,
+    gi_lcm_conj,
     prime_above,
     splitting_type,
 )
 from a4csl.icosian import (
     _PAIRS,
-    _TWICE_AB,
+    _ZMAP_COLS,
     enumerate_by_trace_norm,
     is_primitive_zcoords,
 )
@@ -79,7 +79,7 @@ def admissible_nr_divisors(n: int) -> tuple[GoldenInt, ...]:
             d = d * factor
         out.add(canonical_associate(d))
     for d in out:
-        lcm = gi_lcm_std(d, d.conj())
+        lcm = gi_lcm_conj(d)
         if lcm != GoldenInt(n, 0):
             raise ConsistencyError(f"lcm({d}, {d.conj()}) = {lcm}, not {n}")
     return tuple(sorted(out, key=lambda g: (g.a, g.b)))
@@ -101,7 +101,7 @@ def definitional_divisors(n: int, width: int) -> tuple[GoldenInt, ...]:
                 continue
             d = GoldenInt(a, b)
             if (d.is_totally_positive() and target.divisible_by(d)
-                    and canonical_associate(d) == d and gi_lcm_std(d, d.conj()) == target):
+                    and canonical_associate(d) == d and gi_lcm_conj(d) == target):
                 out.append(d)
     return tuple(out)
 
@@ -109,7 +109,8 @@ def definitional_divisors(n: int, width: int) -> tuple[GoldenInt, ...]:
 def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
     """Reduced norm as a golden integer, straight from Z^8 coordinates: the
     sum of the squared components, with (a + b tau)^2 = a^2 + b^2 + (2a + b) b tau."""
-    parts = [(sum(map(mul, zc, a)), sum(map(mul, zc, b))) for a, b in _TWICE_AB]
+    v = [sum(map(mul, zc, col)) for col in _ZMAP_COLS]
+    parts = list(zip(v[:4], v[4:]))
     return GoldenInt(sum(a * a + b * b for a, b in parts) // 4,
                      sum((2 * a + b) * b for a, b in parts) // 4)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from a4csl import a4
 from a4csl.a4 import (
     CARTAN_A4,
     IrrationalDenominator,
@@ -14,6 +15,7 @@ from a4csl.a4 import (
     l_coords_rational,
     l_of_ideal,
     l_point,
+    l_rotation,
     phi_plus,
     ssl_of,
     sublattice_gram,
@@ -27,7 +29,7 @@ from a4csl.icosian import (
     norm_one_units,
     nr_zcoords,
 )
-from a4csl.lattice import ExactLattice, det_int, forms_equivalent, _rat_inverse
+from a4csl.lattice import ExactLattice, det_int, forms_equivalent
 from a4csl.quaternion import Quat, RotationMatrix
 
 
@@ -58,6 +60,37 @@ def test_l_membership_and_coords():
         assert l_coords(p) == tuple(coords)
 
 
+def test_l_coords_reject_points_off_the_rational_span():
+    j = Quat.of(0, 0, 1, 0)
+    with pytest.raises(ValueError):
+        l_coords_rational(j)
+    # half a basis vector is in the span, with a fractional coordinate
+    assert l_coords_rational(L_BASIS[0] / 2) == (Fraction(1, 2), 0, 0, 0)
+    with pytest.raises(ValueError):
+        l_coords(L_BASIS[0] / 2)
+
+
+@pytest.mark.parametrize("image", [Quat.of(0, 0, 1, 0), L_BASIS[0] / 2])
+def test_table_entries_off_l_name_the_entry(image):
+    with pytest.raises(ConsistencyError, match="ideal table, entry"):
+        a4._table_l_coords(image, "ideal table, entry (0, 2)")
+
+
+def test_rotated_l_coords_are_the_l_rotation_columns():
+    rng = random.Random(313)
+    checked = 0
+    while checked < 12:
+        q = random_icosian(rng)
+        if not q or not q.is_admissible():
+            continue
+        m, den = l_rotation(q)
+        rot = q.rotation()
+        for c, b in enumerate(L_BASIS):
+            assert l_coords_rational(rot.apply(b)) == tuple(Fraction(m[k][c], den)
+                                                             for k in range(4))
+        checked += 1
+
+
 def test_phi_plus_lands_in_l():
     rng = random.Random(307)
     for _ in range(25):
@@ -71,9 +104,9 @@ def test_dual_gram():
     d = dual_lattice_gram()
     assert det_int(d) == 125
     assert all(d[i][j] == d[j][i] for i in range(4) for j in range(4))
-    # 5 * inverse of the Cartan matrix, entrywise
-    inv = _rat_inverse([[Fraction(x) for x in row] for row in CARTAN_A4])
-    assert all(Fraction(d[i][j]) == 5 * inv[i][j] for i in range(4) for j in range(4))
+    # 5 * inverse of the Cartan matrix: C d = 5 I
+    assert all(sum(CARTAN_A4[i][k] * d[k][j] for k in range(4)) == 5 * (i == j)
+               for i in range(4) for j in range(4))
 
 
 def test_ssl_of_two():

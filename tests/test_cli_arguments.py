@@ -57,8 +57,17 @@ def test_sizes_at_their_cap_are_accepted():
 
 
 def test_threads_clamped_to_cpu_count():
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     args = build_parser().parse_args(["verify", "--threads", "1000000"])
-    assert args.threads == (os.cpu_count() or 1)
+    assert args.threads == (usable or 1)
+    assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
+
+
+def test_threads_clamped_to_the_affinity_mask(monkeypatch):
+    # a process pinned to two CPUs of a large host gets at most two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert build_parser().parse_args(["verify", "--threads", "64"]).threads == 2
     assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
 
 

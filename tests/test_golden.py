@@ -1,4 +1,5 @@
 import random
+from math import gcd, isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from a4csl.golden import (
     factor_int,
     gi_factor,
     gi_gcd,
-    gi_lcm_std,
+    gi_lcm_conj,
     gi_sqrt,
     prime_above,
     splitting_type,
@@ -169,7 +170,7 @@ def test_factor_random_roundtrip():
 
 def test_lcm_of_ramified_conjugates():
     pi = GoldenInt(2, 1)  # tau + 2, norm 5
-    m = gi_lcm_std(pi, pi.conj())
+    m = gi_lcm_conj(pi)
     # the lcm ideal is the single ramified prime above 5
     assert m.norm() == 5
     assert m == canonical_associate(GoldenInt(-1, 2))
@@ -178,10 +179,38 @@ def test_lcm_of_ramified_conjugates():
 def test_lcm_galois_stable_gives_rational_integer():
     # lcm(x, conj(x)) for admissible-style x should be a positive rational
     pi11 = prime_above(11)
-    m = gi_lcm_std(pi11 * pi11.conj(), (pi11 * pi11.conj()).conj())
+    m = gi_lcm_conj(pi11 * pi11.conj())
     assert m == GoldenInt(11, 0)
-    m2 = gi_lcm_std(GoldenInt(4, 0), GoldenInt(4, 0))
+    m2 = gi_lcm_conj(GoldenInt(4, 0))
     assert m2 == GoldenInt(4, 0)
+
+
+def test_lcm_conj_is_the_exponentwise_max_of_both_factorizations():
+    rng = random.Random(23)
+    for _ in range(300):
+        x = rnd_gi(rng)
+        if not x:
+            continue
+        exps = dict(gi_factor(x).factors)
+        for prime, e in gi_factor(x.conj()).factors:
+            exps[prime] = max(exps.get(prime, 0), e)
+        m = ONE
+        for prime, e in exps.items():
+            m = m * prime ** e
+        assert gi_lcm_conj(x) == canonical_associate(m)
+
+
+def test_lcm_conj_of_square_norm_is_norm_over_content():
+    # totally positive d with N(d) a square: lcm(d, d') = N(d) / gcd(d.a, d.b)
+    found = 0
+    for a in range(-60, 61):
+        for b in range(61):
+            d = GoldenInt(a, b)
+            n = d.signed_norm()
+            if d and d.is_totally_positive() and isqrt(n) ** 2 == n:
+                assert gi_lcm_conj(d) == GoldenInt(n // gcd(a, b), 0)
+                found += 1
+    assert found == 193
 
 
 def test_sqrt_of_5():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a4csl import icosian
-from a4csl.golden import ONE, RAT_ONE, TAU, ConsistencyError, GoldenInt, gi_gcd
+from a4csl import golden, icosian
+from a4csl.golden import ONE, RAT_ONE, TAU, ConsistencyError, GoldenInt, factor_int, gi_gcd
 from a4csl.icosian import (
     ICOSIAN_BASIS,
     NR_A,
@@ -17,7 +17,6 @@ from a4csl.icosian import (
     Icosian,
     NotAdmissibleError,
     NotPrimitiveError,
-    basis_coordinates,
     enumerate_by_trace_norm,
     is_primitive_zcoords,
     norm_one_units,
@@ -25,7 +24,7 @@ from a4csl.icosian import (
     pair_products,
     tr_frac,
 )
-from a4csl.lattice import _rat_inverse
+from a4csl.lattice import _adjugate, det_int
 from a4csl.quaternion import Quat
 
 
@@ -41,6 +40,21 @@ def test_half_one_one_is_not_icosian():
         Icosian.from_quat(q)
 
 
+def test_half_of_a_unit_is_not_icosian():
+    for u in norm_one_units():
+        with pytest.raises(ValueError):
+            Icosian.from_quat(u.quat / 2)
+    assert Icosian.from_quat(norm_one_units()[0].quat * 2) == norm_one_units()[0] * 2
+
+
+def in_basis(coords):
+    """sum c_i e_i over the Z[tau] basis, in Q(sqrt 5) quaternions."""
+    out = Quat.of(0, 0, 0, 0)
+    for c, e in zip(coords, ICOSIAN_BASIS):
+        out = out + e * c
+    return out
+
+
 def test_basis_coordinates_roundtrip():
     rng = random.Random(211)
     for _ in range(30):
@@ -48,8 +62,7 @@ def test_basis_coordinates_roundtrip():
         v = Icosian.from_zcoords(zc)
         assert v.zcoords() == tuple(zc)
         assert Icosian.from_quat(v.quat) == v
-        xs = basis_coordinates(v.quat)
-        assert all(x.is_integral() for x in xs)
+        assert in_basis(v.coords) == v.quat
 
 
 def test_ring_closed_under_multiplication_conj_twist():
@@ -85,7 +98,7 @@ golden_ints = st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50))
 def test_integer_operations_match_quaternions(a, b, g, n):
     v, w = Icosian.from_zcoords(a), Icosian.from_zcoords(b)
     assert Icosian.from_quat(v.quat) == v
-    assert v.coords == tuple(x.as_golden_int() for x in basis_coordinates(v.quat))
+    assert in_basis(v.coords) == v.quat
     assert (v + w).quat == v.quat + w.quat
     assert (v - w).quat == v.quat - w.quat
     assert (-v).quat == -v.quat
@@ -143,11 +156,11 @@ def box_count_trace_norm(t):
     """Independent shell count: full box enumeration of Z^8 coordinates,
     using the doubled (integral) Gram matrix and running sums."""
     g2 = TRACE_GRAM2
-    ginv = _rat_inverse([[Fraction(x) for x in row] for row in g2])
+    adj, det = _adjugate(g2), det_int(g2)
     bounds = []
     for i in range(8):
         # x^T g2 x = 2t bounds x_i^2 by 2t (g2^-1)_ii
-        r = 2 * t * ginv[i][i]
+        r = Fraction(2 * t * adj[i][i], det)
         b = 0
         while (b + 1) * (b + 1) <= r:
             b += 1
@@ -258,6 +271,19 @@ def test_extension_requires_primitive():
     p = Icosian.from_quat(Quat.of(2, 2, 0, 0))
     with pytest.raises(NotPrimitiveError):
         p.extension()
+
+
+def test_extension_factors_the_norm_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factor_int(n)
+
+    monkeypatch.setattr(golden, "factor_int", counting)
+    q = Icosian.from_zcoords((1000036, 1, 0, 0, 0, 0, 0, 0))
+    assert q.extension().sigma == q.scale() == 1000072001297
+    assert calls == [q.scale() ** 2]
 
 
 def test_non_admissible_icosian():
