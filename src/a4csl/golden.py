@@ -2,8 +2,10 @@
 
 tau = (1 + sqrt 5)/2 is the golden ratio, tau^2 = tau + 1.  An element
 a + b*tau is stored as the integer pair (a, b), so everything here is
-exact.  Z[tau] is norm-Euclidean, which gives gcds; the unit group is
-{+-tau^k}, which is what the canonical-associate windowing is built on.
+exact.  Z[tau] is norm-Euclidean: one division, `divmod`, gives //, %,
+`exact_div`, `divisible_by` and the gcds, and `gi_sqrt` takes square roots
+from the norm-trace identity.  The unit group is {+-tau^k}, which is what
+the canonical-associate windowing is built on.
 
 Conjugation sends tau to 1 - tau (the other embedding).  The field norm
 of x = a + b*tau is x * conj(x) = a^2 + a*b - b^2; its absolute value is
@@ -143,23 +145,17 @@ class GoldenInt:
     # -- divisibility ----------------------------------------------------
 
     def exact_div(self, other: GoldenInt | int) -> GoldenInt:
-        """Exact quotient self/other in Z[tau]; raises if not divisible."""
-        other = _coerce_strict(other)
-        s = other.signed_norm()
-        if s == 0:
-            raise ZeroDivisionError("division by zero in Z[tau]")
-        num = self * other.conj()
-        if num.a % s or num.b % s:
+        """Exact quotient self/other in Z[tau]; ValueError if not divisible."""
+        q, r = divmod(self, other)
+        if r:
             raise ValueError(f"{self} is not divisible by {other}")
-        return GoldenInt(num.a // s, num.b // s)
+        return q
 
     def divisible_by(self, other: GoldenInt | int) -> bool:
-        other = _coerce_strict(other)
-        s = other.signed_norm()
-        if s == 0:
+        """Whether the remainder is zero; zero divides only zero."""
+        if not _coerce_strict(other):
             return not self
-        num = self * other.conj()
-        return num.a % s == 0 and num.b % s == 0
+        return not self % other
 
     def __divmod__(self, other: GoldenInt | int) -> tuple[GoldenInt, GoldenInt]:
         """Euclidean division: r = self - q*other with norm(r) < norm(other).
@@ -177,6 +173,10 @@ class GoldenInt:
         q = GoldenInt(_round_nearest(num.a, s), _round_nearest(num.b, s))
         r = self - q * other
         return q, r
+
+    def __floordiv__(self, other: GoldenInt | int) -> GoldenInt:
+        """The quotient of divmod, exact whenever the division is."""
+        return divmod(self, other)[0]
 
     def __mod__(self, other: GoldenInt | int) -> GoldenInt:
         return divmod(self, other)[1]
@@ -387,41 +387,28 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
 def gi_sqrt(x: GoldenInt | int) -> GoldenInt | None:
     """Exact square root in Z[tau] (positive real embedding), or None.
 
-    If y^2 = x then t = y + conj(y) and s = y*conj(y) satisfy
-    t^2 = trace(x) + 2s and 5*b^2 = t^2 - 4s for y = a + b*tau, with
-    s = +-isqrt(norm(x)).  That reduces the search to a handful of integer
-    square-root checks; no floating point anywhere.
+    If y^2 = x, then s = y*conj(y) = +-isqrt(norm(x)) and t = y + conj(y)
+    satisfy t^2 = trace(x) + 2s and y*t = x + s, so y = (x + s)/t, one
+    division for each sign of s.  t = 0 only for x = 5c^2, where
+    y = c*sqrt 5.
     """
     x = _coerce_strict(x)
     if not x:
         return ZERO
     if not x.is_totally_positive():
         return None
-    sn = x.signed_norm()
-    n = isqrt(sn)
-    if n * n != sn:
+    n = isqrt(x.signed_norm())
+    if n * n != x.signed_norm():
         return None
-    tr = x.trace()
-    for s in (n, -n) if n else (0,):
-        t2 = tr + 2 * s
-        if t2 < 0:
-            continue
-        t = isqrt(t2)
-        if t * t != t2:
-            continue
-        b2_times_5 = tr - 2 * s
-        if b2_times_5 < 0 or b2_times_5 % 5:
-            continue
-        b_abs = isqrt(b2_times_5 // 5)
-        if b_abs * b_abs * 5 != b2_times_5:
-            continue
-        for t_signed in {t, -t}:
-            for b in {b_abs, -b_abs}:
-                if (t_signed - b) % 2:
-                    continue
-                y = GoldenInt((t_signed - b) // 2, b)
-                if y * y == x:
-                    return y if y.sign_embedding() > 0 else -y
+    for s in (n, -n):
+        t = isqrt(x.trace() + 2 * s)
+        if t:
+            y = (x + s) // t
+        else:
+            c = isqrt(x.a // 5)
+            y = GoldenInt(-c, 2 * c)  # c * (2 tau - 1)
+        if y * y == x:
+            return y if y.sign_embedding() > 0 else -y
     return None
 
 

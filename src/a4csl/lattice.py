@@ -2,10 +2,11 @@
 and integral equivalence of quadratic forms.
 
 Everything runs on Python integers, so there is no overflow and no
-rounding anywhere.  A Gram matrix has integer entries (any other entry
-raises TypeError), and a rational lattice is an integer HNF over one
-denominator (`ExactLattice`).  Matrices are tuples of tuples, rows are
-generators.
+rounding anywhere.  `hnf` and every Gram take integer entries (any other
+raises TypeError); `det_int` takes integers or golden integers, as its
+divisions are exact over Z[tau] too.  A rational lattice is an integer HNF
+over one denominator (`ExactLattice`), whose membership test is one more
+HNF.  Matrices are tuples of tuples, rows are generators.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
+from .golden import GoldenInt
+
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _as_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    return [list(r) for r in rows]
 
 
 def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
@@ -28,58 +27,51 @@ def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
     Upper triangular in echelon shape, positive pivots, entries above a
     pivot reduced into [0, pivot).  Zero rows are dropped, so the result
-    has one row per dimension of the span.
+    has one row per dimension of the span.  An entry that is not an
+    integer raises TypeError.  One pass: Euclid clears each column below
+    the placed pivots by the row of smallest absolute value, and the rows
+    above a new pivot are reduced as it is placed; it is zero left of its
+    column, so later reductions leave earlier columns alone.
     """
-    m = _as_rows(rows)
-    if not m:
-        return ()
-    ncols = len(m[0])
-    pivot_row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        # clear the column below pivot_row using exact Euclidean steps
-        reduced = True
-        while reduced:
-            reduced = False
-            nonzero = [i for i in range(pivot_row, len(m)) if m[i][col]]
-            if len(nonzero) > 1:
-                nonzero.sort(key=lambda i: abs(m[i][col]))
-                i0 = nonzero[0]
-                for i in nonzero[1:]:
-                    q = m[i][col] // m[i0][col]
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-                reduced = True
-        nonzero = [i for i in range(pivot_row, len(m)) if m[i][col]]
-        if not nonzero:
+    m = [list(map(index, row)) for row in rows]
+    r = 0  # the next pivot row
+    for col in range(len(m[0]) if m else 0):
+        while True:
+            live = [i for i in range(r, len(m)) if m[i][col]]
+            if len(live) < 2:
+                break
+            p = m[min(live, key=lambda i: abs(m[i][col]))]
+            for i in live:
+                q = m[i][col] // p[col]
+                if q and m[i] is not p:
+                    m[i] = [a - q * b for a, b in zip(m[i], p)]
+        if not live:
             continue
-        i0 = nonzero[0]
-        m[pivot_row], m[i0] = m[i0], m[pivot_row]
-        if m[pivot_row][col] < 0:
-            m[pivot_row] = [-a for a in m[pivot_row]]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    m = m[:pivot_row]
-    # reduce entries above each pivot
-    for r, c in pivots:
-        p = m[r][c]
+        m[r], m[live[0]] = m[live[0]], m[r]
+        if m[r][col] < 0:
+            m[r] = [-a for a in m[r]]
+        p = m[r]
         for i in range(r):
-            q = m[i][c] // p
+            q = m[i][col] // p[col]
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-    return tuple(tuple(r) for r in m)
+                m[i] = [a - q * b for a, b in zip(m[i], p)]
+        r += 1
+    return tuple(tuple(row) for row in m[:r])
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+def det_int(m: Sequence[Sequence[int | GoldenInt]]) -> int | GoldenInt:
+    """Determinant of a square matrix over Z or Z[tau] (fraction-free
+    Bareiss: every division is exact, so it runs in any integral domain
+    with an exact //).  An entry that is neither an int nor a GoldenInt
+    raises TypeError."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [list(r) for r in m]
+    a = [[x if isinstance(x, GoldenInt) else index(x) for x in r] for r in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
@@ -167,15 +159,8 @@ class ExactLattice:
         scaled = [x * self.den for x in vector]
         if any(x.denominator != 1 for x in scaled):
             return False
-        v = [x.numerator for x in scaled]
-        # reduce against the echelon basis
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            q, r = divmod(v[lead], row[lead])
-            if r:
-                return False
-            v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        # v is in the lattice exactly when adding it leaves the HNF unchanged
+        return hnf(self.basis + (tuple(x.numerator for x in scaled),)) == self.basis
 
 
 def _lowest_terms(dim: int, h: IntMatrix, den: int) -> ExactLattice:

@@ -178,11 +178,15 @@ def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int
     rather than tried one value at a time, see `_ssl_candidates`), and
     counts the survivors whose rescaled Gram matrix is equivalent to the
     ambient one.  No multiplicative structure is assumed anywhere: solving
-    a linear congruence mod m uses nothing about the lattice.
+    a linear congruence mod m uses nothing about the lattice.  The Gram
+    must be 4x4 (ValueError otherwise): index m^2 is the index of a
+    similar sublattice of norm scale m only in dimension 4.
     """
     if m < 1:
         raise ValueError("norm scale must be a positive integer")
     g = _check_gram(CARTAN_A4 if gram is None else gram)
+    if len(g) != 4:
+        raise ValueError(f"the SSL search needs a 4x4 Gram, not {len(g)}x{len(g)}")
     return sum(1 for reduced in _ssl_candidates(m, g) if forms_equivalent(reduced, g))
 
 

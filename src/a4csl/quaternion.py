@@ -8,17 +8,20 @@ whose fixed points, inside the icosian ring, form the A4 lattice.
 A quaternion q with |q * twist(q)| = n (a positive integer) induces the
 orthogonal map x -> q*x*twist(q)/n; `rotation_matrix` returns it as an
 exact 4x4 matrix over Q(sqrt 5), always checked orthogonal with
-determinant +1.  Icosians are integer coordinates (`icosian.Icosian`); this
-module gives their products, conjugates and twists, and the rotation
-matrix that `a4.csl_of` checks and the `csl` command prints.
+determinant +1 (which `lattice.det_int` computes over Z[tau]).  Icosians
+are integer coordinates (`icosian.Icosian`); this module gives their
+products, conjugates and twists, and the rotation matrix that `a4.csl_of`
+checks and the `csl` command prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, _coerce_rat
+from .lattice import det_int
 
 
 def _as_rat(x: GoldenRat | GoldenInt | Fraction | int) -> GoldenRat:
@@ -106,22 +109,6 @@ class Quat:
 _STANDARD_BASIS = tuple(Quat.of(*(int(i == j) for j in range(4))) for i in range(4))
 
 
-def _det4(m: list[list[GoldenRat]]) -> GoldenRat:
-    def det3(r):
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-
-    total = RAT_ZERO
-    sign = 1
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        term = m[0][col] * det3(minor)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
 @dataclass(frozen=True)
 class RotationMatrix:
     """Exact 4x4 special orthogonal matrix over Q(sqrt 5)."""
@@ -155,7 +142,10 @@ class RotationMatrix:
         return True
 
     def det(self) -> GoldenRat:
-        return _det4([list(r) for r in self.entries])
+        """det_int of the numerators over the common denominator D, divided by D^4."""
+        d = lcm(*(x.den for row in self.entries for x in row))
+        return GoldenRat.make(
+            det_int([[x.num * (d // x.den) for x in row] for row in self.entries]), d ** 4)
 
 
 def rotation_matrix(q: Quat, scale: int) -> RotationMatrix:

@@ -82,6 +82,24 @@ def test_det_int_matches_cofactor_expansion():
         assert det_int(m) == cof(m)
 
 
+def test_hnf_refuses_non_integer_entries():
+    # the rows span ((1, 10), (0, 30)) / 10, which only ExactLattice can hold
+    for rows in ([[0.1, 1], [0.3, 0]], [[Fraction(1, 10), 1], [Fraction(3, 10), 0]],
+                 [[2.0, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            hnf(rows)
+    lat = ExactLattice.from_rows([[Fraction(1, 10), 1], [Fraction(3, 10), 0]])
+    assert (lat.basis, lat.den) == (((1, 10), (0, 30)), 10)
+
+
+def test_det_int_refuses_non_integer_entries():
+    # Bareiss floor division would round these: the true values are -0.75 and -0.02
+    for m in ([[0.5, 1], [1, 0.5]], [[0.1, 0.2], [0.3, 0.4]], [[Fraction(1, 2), 1], [1, 1]],
+              [[1.0]]):
+        with pytest.raises(TypeError):
+            det_int(m)
+
+
 def test_det_cartan_is_five():
     assert det_int(CARTAN) == 5
 

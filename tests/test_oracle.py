@@ -161,6 +161,15 @@ def test_ssl_oracle_input_validation():
         oracle_ssl_count(2, ((1, 2), (2, 1)))  # not positive definite
 
 
+def test_ssl_oracle_refuses_grams_that_are_not_four_by_four():
+    # index m^2 is the index of a norm-scale-m similar sublattice only in
+    # dimension 4; elsewhere the search would compare forms of other genera
+    for gram in (((2, -1), (-1, 2)), ((2, -1, 0), (-1, 2, -1), (0, -1, 2))):
+        for m in (1, 2):
+            with pytest.raises(ValueError, match=f"4x4 Gram, not {len(gram)}x{len(gram)}"):
+                oracle_ssl_count(m, gram)
+
+
 def test_check_gram_refuses_non_integral_entries():
     for gram in (((5 / 2, 1 / 2), (1 / 2, 3 / 2)),
                  ((Fraction(5, 2), 1), (1, 2)),
