@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import index
 
 
 class ConsistencyError(ArithmeticError):
@@ -473,11 +474,12 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     decide primality; a cofactor beyond it that the bases cannot prove
     composite raises ValueError.  A composite cofactor that is a perfect
     square is split by isqrt before rho runs on it: rho finds p in p^2
-    only after about sqrt(p) steps.
+    only after about sqrt(p) steps.  n is read through operator.index, so
+    an argument that is not an integer raises TypeError.
     """
+    n = abs(index(n))
     if n == 0:
         raise ValueError("cannot factor zero")
-    n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -354,26 +354,22 @@ def short_vectors(gram: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[t
         yield from rec(n - 1, top, True)
 
 
-def _walk(r: IntMatrix, max_diag: int) -> tuple[dict[int, int], dict[int, list[tuple[int, ...]]]]:
-    """One short-vector walk of r to twice max_diag: the number of +-pairs
-    at each norm, and the vectors of norm <= max_diag grouped by norm in
-    walk order (the order a walk to max_diag alone would give)."""
-    counts: dict[int, int] = {}
+def _walk(r: IntMatrix, max_diag: int) -> dict[int, list[tuple[int, ...]]]:
+    """One short-vector walk of r to max_diag: the vectors, one per +-pair,
+    grouped by norm in walk order.  The group sizes are the theta counts."""
     by_norm: dict[int, list[tuple[int, ...]]] = {}
-    for v, norm in short_vectors(r, 2 * max_diag):
-        counts[norm] = counts.get(norm, 0) + 1
-        if norm <= max_diag:
-            by_norm.setdefault(norm, []).append(v)
-    return counts, by_norm
+    for v, norm in short_vectors(r, max_diag):
+        by_norm.setdefault(norm, []).append(v)
+    return by_norm
 
 
 @lru_cache(maxsize=8)
 def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, dict[int, int]]:
     """The LLL-reduced form of a target Gram, its determinant and its theta
-    counts up to twice its largest diagonal entry, computed once per
-    target."""
+    counts up to its largest diagonal entry, computed once per target."""
     r2, _ = lll_reduce_gram(g2)  # raises unless g2 passes the Gram gate
-    return r2, det_int(r2), _walk(r2, max(r2[i][i] for i in range(len(r2))))[0]
+    by_norm = _walk(r2, max(r2[i][i] for i in range(len(r2))))
+    return r2, det_int(r2), {k: len(v) for k, v in by_norm.items()}
 
 
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -382,15 +378,17 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
     Preconditions: both integer, symmetric and positive definite, of the
     same dimension and determinant (violations raise TypeError for a
     non-integer entry, ValueError otherwise).  Both forms are LLL reduced
-    first, then a theta-series prefilter (pair counts at norms up to twice
-    the largest diagonal entry of the reduced G2) rejects most inequivalent
-    pairs before the backtracking search over short vectors, which the
-    same walk of the reduced G1 supplies.  The search keeps the product
-    R1 v of each chosen vector v, so a candidate c is tested against it
-    with the single dot product c . R1 v, whose value decides c and -c
-    alike.  The reduced G2, its determinant and its theta counts are
-    cached per G2, so a search against one fixed target reduces that
-    target once.
+    first, then one walk of the reduced G1 to the largest diagonal entry
+    of the reduced G2 supplies a theta-series prefilter (pair counts at
+    each norm up to that entry), which rejects most inequivalent pairs,
+    and the vectors of the backtracking search.  The search alone decides:
+    the vectors it picks are the rows of a V with V R1 V^T = R2, and as
+    the determinants are equal V is unimodular, so the prefilter's range
+    changes no answer.  The search keeps the product R1 v of each chosen
+    vector v, so a candidate c is tested against it with the single dot
+    product c . R1 v, whose value decides c and -c alike.  The reduced G2,
+    its determinant and its theta counts are cached per G2, so a search
+    against one fixed target reduces that target once.
     """
     r1, _ = lll_reduce_gram(g1)  # raises unless g1 passes the Gram gate
     # integer keys, so a float target cannot share an integer target's entry
@@ -401,9 +399,8 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
     if det_int(r1) != det2:
         raise ValueError("determinants differ; forms live in different genera")
 
-    max_diag = max(r2[i][i] for i in range(n))
-    theta1, by_norm = _walk(r1, max_diag)
-    if theta1 != theta2:
+    by_norm = _walk(r1, max(r2[i][i] for i in range(n)))
+    if {k: len(v) for k, v in by_norm.items()} != theta2:
         return False
 
     # products[j] = R1 v_j for the j-th chosen vector v_j

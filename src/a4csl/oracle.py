@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
-from operator import mul, neg
+from operator import index, mul, neg
 from typing import Iterator, Sequence
 
 from .a4 import (
@@ -41,23 +41,18 @@ from .icosian import (
     norm_one_units,
     pair_products,
 )
-from .lattice import IntMatrix, _divisor_tuples, _ldl, forms_equivalent
+from .lattice import IntMatrix, _divisor_tuples, _ldl, det_int, forms_equivalent
 
 
 # --------------------------------------------------------------------------
 # similar sublattices
 
 
-def _as_int(x: object) -> int:
-    n = int(x)
-    if n != x:
-        raise ValueError(f"gram entry {x!r} is not an integer")
-    return n
-
-
 def _check_gram(gram: Sequence[Sequence[int]]) -> IntMatrix:
-    g = tuple(tuple(_as_int(x) for x in row) for row in gram)
-    _ldl(g)  # raises ValueError unless g is square, symmetric and positive definite
+    # the Gram gate of `lattice`: TypeError for an entry that is not an
+    # integer, ValueError unless g is square, symmetric and positive definite
+    g = tuple(tuple(map(index, row)) for row in gram)
+    _ldl(g)
     return g
 
 
@@ -79,14 +74,26 @@ def _ssl_candidates(m: int, g: IntMatrix) -> Iterator[list[list[int]]]:
     skipped exactly when one of the divisibility tests fails, so the
     yielded Grams, and their order, are those of testing every complete
     row.
+
+    A diagonal no candidate can have is skipped whole.  Take L = Z^n with
+    the form G and duals # under G.  Every inner product of a candidate S
+    is divisible by m, so S lies in m S^#, of index det(B G B^T) / m^n =
+    m^(4-n) det G over S (B its basis, with det B = m^2).  That index
+    kills m S^# / S, and L lies in L^#, which lies in S^#, so S contains
+    m^(5-n) det G L: every pivot of S divides m^(5-n) det G (the forms
+    searched have n <= 4).  Only the divisibility tests enter the
+    argument, so a skipped diagonal is one whose rows would all fail them.
     """
     n = len(g)
     last = n - 1
     g_ll = g[last][last]
     # an even ambient form forces even diagonal on the rescaled form
     self_mod = 2 * m if all(g[i][i] % 2 == 0 for i in range(n)) else m
+    bound = m ** (5 - n) * det_int(g)
 
     for diag in _divisor_tuples(m * m, n):
+        if any(bound % d for d in diag):
+            continue
 
         def rows_at(level: int, grows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             """Every row (0.., diag[level], x..) passing the tests against
@@ -175,12 +182,15 @@ def oracle_ssl_count(m: int, gram: Sequence[Sequence[int]] | None = None) -> int
     the search enumerates every index-m^2 sublattice in Hermite normal
     form, keeps those whose inner products are all divisible by m (the
     last coordinate of each row is solved from these linear congruences
-    rather than tried one value at a time, see `_ssl_candidates`), and
-    counts the survivors whose rescaled Gram matrix is equivalent to the
-    ambient one.  No multiplicative structure is assumed anywhere: solving
-    a linear congruence mod m uses nothing about the lattice.  The Gram
-    must be 4x4 (ValueError otherwise): index m^2 is the index of a
-    similar sublattice of norm scale m only in dimension 4.
+    rather than tried one value at a time, and a diagonal with a pivot
+    that does not divide m det G is skipped, as no such sublattice passes
+    them; see `_ssl_candidates`), and counts the survivors whose rescaled
+    Gram matrix is equivalent to the ambient one.  No multiplicative
+    structure is assumed anywhere: the congruences and the pivot bound
+    use only the divisibility by m.  The Gram must be 4x4 (ValueError
+    otherwise): index m^2 is the index of a similar sublattice of norm
+    scale m only in dimension 4.  An entry that is not an integer raises
+    TypeError, as everywhere in `lattice`.
     """
     if m < 1:
         raise ValueError("norm scale must be a positive integer")

@@ -198,3 +198,12 @@ def test_bad_arguments():
         dirichlet_inverse([0, 2, 1])
     with pytest.raises(ValueError):
         dirichlet_convolve({0: 1}, {1: 1}, 5)
+
+
+def test_closed_forms_refuse_non_integer_arguments():
+    # factor_int reads n through operator.index: 6.0 used to give f_ssl 0 and
+    # f_soc 50, and 2.5 or 7.5 failed inside the prime test
+    for f, n in ((f_ssl, 6.0), (f_soc, 6.0), (f_ssl, 2.5), (f_soc, 7.5)):
+        with pytest.raises(TypeError):
+            f(n)
+    assert f_ssl(4) == 6 and f_soc(6) == 50

@@ -231,11 +231,10 @@ def test_short_vectors_half_integral_gram():
 
 
 def test_theta_counts_cartan():
-    # one walk to twice the largest diagonal entry gives the theta counts and,
-    # in the order of a walk to the diagonal entry alone, the shorter vectors
-    counts, by_norm = _walk(CARTAN, 2)
-    assert counts == {2: 10, 4: 15}
-    assert by_norm == {2: [v for v, _ in short_vectors(CARTAN, 2)]}
+    # one walk to the largest diagonal entry gives the vectors of each norm in
+    # walk order; their numbers are the theta counts, 10 pairs of norm 2 for A4
+    assert _walk(CARTAN, 2) == {2: [v for v, _ in short_vectors(CARTAN, 2)]}
+    assert {k: len(v) for k, v in _walk(CARTAN, 4).items()} == {2: 10, 4: 15}
 
 
 # the one Gram gate: not symmetric, not square, not integral

@@ -112,6 +112,24 @@ def test_ssl_candidates_match_leaf_testing_search_in_four_dimensions():
             assert list(_ssl_candidates(m, g)) == reference_candidates(m, g), (g, m)
 
 
+# the Cartan matrix of D4, determinant 4, and the identity form Z^4
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+Z4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize("g, m, skipped", [
+    (D4, 2, 0), (D4, 4, 0), (D4, 8, 4), (Z4, 4, 16),
+    (dual_lattice_gram(), 5, 0), (dual_lattice_gram(), 20, 160)])
+def test_ssl_candidates_skip_only_diagonals_that_yield_nothing(g, m, skipped):
+    # every pivot of a candidate divides m det G in dimension 4; the search
+    # skips the other diagonals, and the reference tries them all.  The dual
+    # at m = 5 and 20 has candidates with a pivot that divides m det G but
+    # not m, so the determinant cannot be left out of the bound
+    bound = m * det_int(g)
+    assert sum(any(bound % d for d in t) for t in _divisor_tuples(m * m, 4)) == skipped
+    assert list(_ssl_candidates(m, g)) == reference_candidates(m, g)
+
+
 def test_ssl_candidates_match_leaf_testing_search_in_low_dimensions():
     # the last two forms have an odd diagonal entry, so norms are tested mod m
     for g in (((3,),), ((2, -1), (-1, 2)), ((2, 1), (1, 3)),
@@ -171,15 +189,17 @@ def test_ssl_oracle_refuses_grams_that_are_not_four_by_four():
 
 
 def test_check_gram_refuses_non_integral_entries():
+    # the Gram gate of `lattice`: an entry that is not an int is a TypeError,
+    # integral floats and Fractions included
     for gram in (((5 / 2, 1 / 2), (1 / 2, 3 / 2)),
                  ((Fraction(5, 2), 1), (1, 2)),
-                 ((2, "1"), ("1", 2))):
-        with pytest.raises(ValueError):
+                 ((2, "1"), ("1", 2)),
+                 ((2.0, Fraction(-1)), (-1, 2))):
+        with pytest.raises(TypeError):
             _check_gram(gram)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             oracle_ssl_count(2, gram)
-    # integral values of other types are accepted as the integers they are
-    assert _check_gram(((2.0, Fraction(-1)), (-1, 2))) == ((2, -1), (-1, 2))
+    assert _check_gram([[2, -1], [-1, 2]]) == ((2, -1), (-1, 2))
 
 
 def test_soc_oracle_matches_formula():

@@ -3,6 +3,7 @@ the HNF, the canonical `ExactLattice` and the form-equivalence test.  The
 integer LLL and Fincke-Pohst routines are compared with the Fraction
 versions they replaced, kept in `fraction_reference`."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -115,14 +116,72 @@ def test_lll_matches_fraction_reduction(case):
     assert lll_reduce_gram(h) == reference.lll_reduce_gram(h)
 
 
-def test_lll_matches_fraction_reduction_on_ssl_candidates():
-    # every candidate Gram of the benchmark's SSL work list, where the
-    # reduction swaps the most
+def ssl_work_candidates():
+    """(candidate Gram, ambient Gram) for every candidate of the benchmark's
+    SSL work list, where the reduction swaps the most."""
     work = [(CARTAN_A4, m) for m in (16, 19, 20, 25)] + [(DUAL, m) for m in (5, 9, 16, 19)]
-    forms = [c for g, m in work for c in _ssl_candidates(m, g)]
+    return [(c, g) for g, m in work for c in _ssl_candidates(m, g)]
+
+
+def test_lll_matches_fraction_reduction_on_ssl_candidates():
+    forms = [c for c, _ in ssl_work_candidates()]
     assert len(forms) == 366
     for c in forms:
         assert lll_reduce_gram(c) == reference.lll_reduce_gram(c), c
+
+
+def twice_range_equivalent(g1, g2):
+    """The theta prefilter forms_equivalent used to run: pair counts of the
+    reduced forms compared at every norm up to twice the largest diagonal
+    entry of the reduced G2, then forms_equivalent itself."""
+    r1, _ = lll_reduce_gram(g1)
+    r2, _ = lll_reduce_gram(g2)
+    top = 2 * max(r2[i][i] for i in range(len(r2)))
+    if (Counter(norm for _, norm in short_vectors(r1, top))
+            != Counter(norm for _, norm in short_vectors(r2, top))):
+        return False
+    return forms_equivalent(g1, g2)
+
+
+def test_forms_equivalent_on_the_ssl_candidates():
+    # the benchmark's SSL work list accepts 216 of its 366 candidates, and the
+    # walk to the largest diagonal entry decides each as the twice-range
+    # prefilter did
+    pairs = ssl_work_candidates()
+    decided = [forms_equivalent(c, g) for c, g in pairs]
+    assert len(pairs) == 366 and sum(decided) == 216
+    assert decided == [twice_range_equivalent(c, g) for c, g in pairs]
+
+
+# A2 + A2 and a form of the same determinant with as many pairs of norm 2:
+# the walk to the target's largest diagonal entry, 2, cannot tell them apart,
+# so the isometry search has to reject the pair
+A2_A2 = ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))
+SIX_ROOT_PAIRS = ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 1), (-1, 0, 1, 3))
+
+
+def test_search_rejects_forms_the_theta_counts_pass():
+    assert det_int(SIX_ROOT_PAIRS) == det_int(A2_A2) == 9
+    r, _ = lll_reduce_gram(SIX_ROOT_PAIRS)
+    theta = {k: len(v) for k, v in lattice._walk(r, 2).items()}
+    assert theta == lattice._reduced_target(A2_A2)[2] == {2: 6}
+    assert not forms_equivalent(SIX_ROOT_PAIRS, A2_A2)
+    assert not twice_range_equivalent(SIX_ROOT_PAIRS, A2_A2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=4, max_size=4)
+       .filter(lambda rows: det_int(rows) != 0), unimodular(4), unimodular(4), st.booleans())
+def test_forms_equivalent_matches_the_twice_range_prefilter(b, t, u, isometric):
+    # B B^T against an equivalent form U B B^T U^T, or against the Gram of
+    # the rows of B T, which has the same determinant and seldom is
+    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    g2 = conjugate(b, eye)
+    bt = [[sum(row[k] * t[k][j] for k in range(4)) for j in range(4)] for row in b]
+    g1 = conjugate(u, g2) if isometric else conjugate(bt, eye)
+    assert forms_equivalent(g1, g2) == twice_range_equivalent(g1, g2)
+    if isometric:
+        assert forms_equivalent(g1, g2)
 
 
 @settings(max_examples=150, deadline=None)
