@@ -588,8 +588,11 @@ def gi_factor(x: GoldenInt | int) -> GoldenFactorization:
             candidates.append(canonical_associate(pi.conj()))
         for prime in candidates:
             e = 0
-            while remaining.divisible_by(prime):
-                remaining = remaining.exact_div(prime)
+            while True:
+                q, r = divmod(remaining, prime)
+                if r:
+                    break
+                remaining = q
                 e += 1
             if e:
                 found.append((prime, e))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
@@ -363,13 +364,37 @@ def _walk(r: IntMatrix, max_diag: int) -> dict[int, list[tuple[int, ...]]]:
     return by_norm
 
 
+@lru_cache(maxsize=None)
+def _minor_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, k, l) for the 2x2 minors on rows i < j and columns k < l of a
+    symmetric n x n matrix, each once: the minor on rows (i, j) and columns
+    (k, l) equals the one on rows (k, l) and columns (i, j)."""
+    pairs = list(combinations(range(n), 2))
+    return tuple((i, j, k, l) for s, (i, j) in enumerate(pairs) for k, l in pairs[s:])
+
+
+def _divisors(g: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The first two determinantal divisors of a symmetric integer Gram:
+    the gcd of its entries and the gcd of its 2x2 minors, the latter read
+    only until it is 1."""
+    d1 = gcd(*chain.from_iterable(g))
+    d2 = 0
+    for i, j, k, l in _minor_indices(len(g)):
+        gi, gj = g[i], g[j]
+        d2 = gcd(d2, gi[k] * gj[l] - gi[l] * gj[k])
+        if d2 == 1:
+            return d1, 1
+    return d1, d2
+
+
 @lru_cache(maxsize=8)
-def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, dict[int, int]]:
-    """The LLL-reduced form of a target Gram, its determinant and its theta
-    counts up to its largest diagonal entry, computed once per target."""
+def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, dict[int, int], tuple[int, int]]:
+    """The LLL-reduced form of a target Gram, its determinant, its theta
+    counts up to its largest diagonal entry and its first two determinantal
+    divisors, computed once per target."""
     r2, _ = lll_reduce_gram(g2)  # raises unless g2 passes the Gram gate
     by_norm = _walk(r2, max(r2[i][i] for i in range(len(r2))))
-    return r2, det_int(r2), {k: len(v) for k, v in by_norm.items()}
+    return r2, det_int(r2), {k: len(v) for k, v in by_norm.items()}, _divisors(r2)
 
 
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -377,27 +402,42 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
 
     Preconditions: both integer, symmetric and positive definite, of the
     same dimension and determinant (violations raise TypeError for a
-    non-integer entry, ValueError otherwise).  Both forms are LLL reduced
-    first, then one walk of the reduced G1 to the largest diagonal entry
-    of the reduced G2 supplies a theta-series prefilter (pair counts at
-    each norm up to that entry), which rejects most inequivalent pairs,
-    and the vectors of the backtracking search.  The search alone decides:
-    the vectors it picks are the rows of a V with V R1 V^T = R2, and as
-    the determinants are equal V is unimodular, so the prefilter's range
-    changes no answer.  The search keeps the product R1 v of each chosen
-    vector v, so a candidate c is tested against it with the single dot
-    product c . R1 v, whose value decides c and -c alike.  The reduced G2,
-    its determinant and its theta counts are cached per G2, so a search
-    against one fixed target reduces that target once.
+    non-integer entry, ValueError otherwise).  It runs in five stages:
+
+    1. G1 passes the Gram gate (`_ldl`) once; its last leading minor is
+       det G1.  G2's gate, reduction and invariants are cached per G2.
+    2. A dimension or determinant mismatch raises ValueError.
+    3. The gcd of the entries and the gcd of the 2x2 minors of G1 must
+       equal those of G2, or the answer is False.  These determinantal
+       divisors are invariants: by Cauchy-Binet every k x k minor of
+       U G U^T is an integer combination of those of G, so the gcd for G
+       divides the one for U G U^T, and as U^-1 is integral too, each
+       divides the other.  So this stage never rejects an equivalent
+       pair, and it spares the reduction and the walk of every candidate
+       it rejects.
+    4. G1 is LLL reduced to R1.
+    5. One walk of R1 to the largest diagonal entry of the reduced G2
+       supplies a theta-series prefilter (pair counts at each norm up to
+       that entry) and the vectors of the backtracking search.
+
+    Past stage 3 the search alone decides: the vectors it picks are the
+    rows of a V with V R1 V^T = R2, and as the determinants are equal V
+    is unimodular, so the theta prefilter's range changes no answer.  The
+    search keeps the product R1 v of each chosen vector v, so a candidate
+    c is tested against it with the single dot product c . R1 v, whose
+    value decides c and -c alike.
     """
-    r1, _ = lll_reduce_gram(g1)  # raises unless g1 passes the Gram gate
+    lead, _ = _ldl(g1)  # raises unless g1 passes the Gram gate
     # integer keys, so a float target cannot share an integer target's entry
-    r2, det2, theta2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
-    n = len(r1)
+    r2, det2, theta2, divisors2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
+    n = len(lead) - 1
     if len(r2) != n:
         raise ValueError("dimension mismatch")
-    if det_int(r1) != det2:
+    if lead[n] != det2:
         raise ValueError("determinants differ; forms live in different genera")
+    if _divisors(g1) != divisors2:
+        return False
+    r1, _ = lll_reduce_gram(g1)
 
     by_norm = _walk(r1, max(r2[i][i] for i in range(n)))
     if {k: len(v) for k, v in by_norm.items()} != theta2:

@@ -5,6 +5,7 @@ versions they replaced, kept in `fraction_reference`."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -153,6 +154,62 @@ def test_forms_equivalent_on_the_ssl_candidates():
     assert decided == [twice_range_equivalent(c, g) for c, g in pairs]
 
 
+def minors_gcd(g, k):
+    """The gcd of every k x k minor of g, each from its own determinant."""
+    n = len(g)
+    return gcd(*(det_int([[g[i][j] for j in cols] for i in rows])
+                 for rows in combinations(range(n), k) for cols in combinations(range(n), k)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grams(2).flatmap(lambda g: st.tuples(st.just(g), unimodular(len(g)))))
+def test_divisors_are_the_minor_gcds_and_invariant(case):
+    g, u = case
+    assert lattice._divisors(g) == (minors_gcd(g, 1), minors_gcd(g, 2))
+    assert lattice._divisors(conjugate(u, g)) == lattice._divisors(g)
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """The Grams `lattice.lll_reduce_gram` is called on from here on."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return lll_reduce_gram(g)
+
+    monkeypatch.setattr(lattice, "lll_reduce_gram", counting)
+    return calls
+
+
+def test_divisor_prefilter_reduces_only_the_accepted_dual_candidates(reduced):
+    # at dual m = 5, 150 of the 156 candidates have the dual's gcd of
+    # entries, 1, but 2x2 minors of gcd 1 against its 5; the prefilter
+    # refuses them before any reduction, so only the 6 accepted are reduced
+    forms_equivalent(DUAL, DUAL)  # the target's own reduction is cached
+    reduced.clear()
+    candidates = list(_ssl_candidates(5, DUAL))
+    accepted = [c for c in candidates if forms_equivalent(c, DUAL)]
+    assert len(candidates) == 156 and len(accepted) == 6
+    assert reduced == accepted
+    assert lattice._divisors(DUAL) == (1, 5)
+    assert {lattice._divisors(c) for c in candidates if c not in accepted} == {(1, 1)}
+
+
+def test_the_gram_gate_runs_before_the_divisor_prefilter():
+    # not positive definite, with the target's determinant 4 and other
+    # divisors, (2, 4) against (1, 4): the gate must refuse it, where the
+    # prefilter would answer False
+    g2 = ((1, 0), (0, 4))
+    negative = ((-2, 0), (0, -2))
+    assert det_int(negative) == det_int(g2) == 4
+    assert lattice._divisors(negative) == (2, 4) != lattice._divisors(g2)
+    with pytest.raises(ValueError):
+        forms_equivalent(negative, g2)
+    with pytest.raises(TypeError):
+        forms_equivalent(((2.0, 0), (0, 2)), g2)
+
+
 # A2 + A2 and a form of the same determinant with as many pairs of norm 2:
 # the walk to the target's largest diagonal entry, 2, cannot tell them apart,
 # so the isometry search has to reject the pair
@@ -162,6 +219,11 @@ SIX_ROOT_PAIRS = ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 1), (-1, 0, 1, 3))
 
 def test_search_rejects_forms_the_theta_counts_pass():
     assert det_int(SIX_ROOT_PAIRS) == det_int(A2_A2) == 9
+    # equal first two determinantal divisors, so the divisor prefilter passes
+    # the pair on; their 3x3 minors differ (gcd 1 against 3), which this test
+    # would have to give up if the prefilter compared those too
+    assert lattice._divisors(SIX_ROOT_PAIRS) == lattice._divisors(A2_A2) == (1, 1)
+    assert minors_gcd(SIX_ROOT_PAIRS, 3) == 1 and minors_gcd(A2_A2, 3) == 3
     r, _ = lll_reduce_gram(SIX_ROOT_PAIRS)
     theta = {k: len(v) for k, v in lattice._walk(r, 2).items()}
     assert theta == lattice._reduced_target(A2_A2)[2] == {2: 6}
@@ -221,16 +283,26 @@ def test_forms_equivalent_to_a_conjugate(case):
 
 
 # same determinant as CARTAN_A4 and DUAL respectively, but not equivalent:
-# each represents 1, and both A4 forms are even
+# each represents 1, and both A4 forms are even.  NOT_DUAL's 2x2 minors have
+# gcd 1 against the dual's 5, so the divisor prefilter refuses it; ODD_DUAL
+# has the dual's divisors (1, 5), so the theta counts and the search decide
 NOT_CARTAN = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5))
 NOT_DUAL = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 5, 0), (0, 0, 0, 25))
+ODD_DUAL = ((1, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5))
 
 
-def test_inequivalent_forms_with_equal_determinant():
+def test_inequivalent_forms_with_equal_determinant(reduced):
     assert det_int(NOT_CARTAN) == det_int(CARTAN_A4)
-    assert det_int(NOT_DUAL) == det_int(DUAL)
-    assert not forms_equivalent(NOT_CARTAN, CARTAN_A4)
+    assert det_int(NOT_DUAL) == det_int(ODD_DUAL) == det_int(DUAL) == 125
+    assert lattice._divisors(NOT_DUAL) == (1, 1)
+    assert lattice._divisors(ODD_DUAL) == lattice._divisors(DUAL) == (1, 5)
+    forms_equivalent(DUAL, DUAL)  # the target's own reduction is cached
+    reduced.clear()
     assert not forms_equivalent(NOT_DUAL, DUAL)
+    assert reduced == []
+    assert not forms_equivalent(ODD_DUAL, DUAL)
+    assert reduced == [ODD_DUAL]
+    assert not forms_equivalent(NOT_CARTAN, CARTAN_A4)
     # a binary pair: diag(1, 6) represents 1, diag(2, 3) does not
     assert not forms_equivalent(((1, 0), (0, 6)), ((2, 0), (0, 3)))
 
@@ -238,7 +310,7 @@ def test_inequivalent_forms_with_equal_determinant():
 def test_cached_targets_answer_as_fresh_calls():
     u = ((1, 2, 0, 0), (0, 1, 0, 0), (0, -1, 1, 0), (1, 0, 0, 1))
     cases = [(conjugate(u, CARTAN_A4), CARTAN_A4), (conjugate(u, DUAL), DUAL),
-             (NOT_CARTAN, CARTAN_A4), (NOT_DUAL, DUAL)] * 2
+             (NOT_CARTAN, CARTAN_A4), (NOT_DUAL, DUAL), (ODD_DUAL, DUAL)] * 2
     lattice._reduced_target.cache_clear()
     cached = [forms_equivalent(g1, g2) for g1, g2 in cases]
     assert lattice._reduced_target.cache_info().misses == 2
@@ -246,7 +318,7 @@ def test_cached_targets_answer_as_fresh_calls():
     for g1, g2 in cases:
         lattice._reduced_target.cache_clear()
         fresh.append(forms_equivalent(g1, g2))
-    assert cached == fresh == [True, True, False, False] * 2
+    assert cached == fresh == [True, True, False, False, False] * 2
 
 
 def test_non_positive_definite_target_raises_every_time():
