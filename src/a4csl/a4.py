@@ -21,14 +21,18 @@ module turns the algebra into explicit integer sublattices of A4, each an
 L-coordinates are read from Z^8 coordinates through the integer inverse of
 a unimodular block of the L basis's Z^8 rows, and checked against all eight.
 `ssl_of`, `denominator_of` and `l_rotation` read q x twist(q) on L from one
-integer table (`_conjugation_matrix`) that is quadratic in the Z^8
-coordinates of q, so they do no Q(sqrt 5) arithmetic per icosian.  The
-ideal route of `csl_of` reads its generators from a second integer table
-(`_ideal_table`), linear in those coordinates.  Its independent
-intersection route builds the one Q(sqrt 5) rotation matrix of the call,
-`q.rotation()`, and intersects L with its image; `csl_of` returns that same
-matrix, so the matrix the `csl` command prints is the one whose CSL is
-checked.
+integer table that is quadratic in the Z^8 coordinates of q, so they do no
+Q(sqrt 5) arithmetic per icosian.  `_conjugation_matrix` evaluates it as
+one dot product of the 36 pair products w with the table's columns, each
+packed into one integer of 16 fields of B bits, biased by 2^(B-1).  Every
+entry is at most span max|w_k| in absolute value (span the table's largest
+absolute row sum), and each call takes 2^(B-1) above that bound, so each
+biased field lies in [0, 2^B) and reads back exactly.  The ideal route of
+`csl_of` reads its generators from a second integer table (`_ideal_table`),
+linear in those coordinates.  Its independent intersection route builds
+the one Q(sqrt 5) rotation matrix of the call, `q.rotation()`, and
+intersects L with its image; `csl_of` returns that same matrix, so the
+matrix the `csl` command prints is the one whose CSL is checked.
 """
 
 from __future__ import annotations
@@ -188,11 +192,45 @@ def _conjugation_table() -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
+#: packed field widths are multiples of this many bits, so few widths occur
+_FIELD_BITS = 16
+
+
+@lru_cache(maxsize=8)
+def _packed_columns(width: int) -> tuple[int, tuple[int, ...], int]:
+    """The conjugation table T packed into fields of `width` bits, as
+    (span, columns, bias); the one reader of `_conjugation_table`.
+
+    Column k is sum_r T[r][k] 2^(r width), bias is sum_r 2^(width - 1)
+    2^(r width), and span = max_r sum_k |T[r][k]|, so that every entry of
+    w . T is at most span max|w_k| in absolute value."""
+    table = _conjugation_table()
+    span = max(sum(map(abs, row)) for row in table)
+    columns = tuple(sum(x << r * width for r, x in enumerate(col)) for col in zip(*table))
+    bias = sum(1 << (r + 1) * width - 1 for r in range(len(table)))
+    return span, columns, bias
+
+
 def _conjugation_matrix(w: Sequence[int]) -> IntMatrix:
     """Row c is the integer L-coordinates of q b_c twist(q), for the icosian
-    q with pair products w (`pair_products`)."""
-    flat = [sum(map(mul, w, row)) for row in _conjugation_table()]
-    return tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
+    q with pair products w (`pair_products`).
+
+    The 16 entries e_r = sum_k w_k T[r][k] of the table T come from one
+    dot product of w with the packed columns of `_packed_columns`:
+    w . columns + bias = sum_r (e_r + 2^(B-1)) 2^(r B).  The field width B
+    is the least multiple of `_FIELD_BITS` with 2^(B-1) > span max|w_k|,
+    a bound on every |e_r|, so each biased field e_r + 2^(B-1) lies in
+    [0, 2^B).  No field carries into the next, and field r, read back and
+    unbiased, is e_r exactly, for any integers w."""
+    span, columns, bias = _packed_columns(_FIELD_BITS)
+    bound = span * max(max(w), -min(w))
+    width = _FIELD_BITS * (bound.bit_length() // _FIELD_BITS + 1)
+    if width > _FIELD_BITS:
+        span, columns, bias = _packed_columns(width)
+    x = sum(map(mul, w, columns)) + bias
+    mask, half = (1 << width) - 1, 1 << width - 1
+    f = [(x >> shift & mask) - half for shift in range(0, 16 * width, width)]
+    return tuple(f[0:4]), tuple(f[4:8]), tuple(f[8:12]), tuple(f[12:16])
 
 
 def l_rotation(q: Icosian) -> tuple[IntMatrix, int]:

@@ -9,11 +9,16 @@ instead of testing the definition on a box of candidates.
 so a wider box than the oracle's can show that the oracle's box misses
 nothing.
 
+`conjugation_rows` is the dense evaluation of the conjugation table, one
+dot product per entry, that `a4._conjugation_matrix` replaced by one dot
+product with packed columns.
+
 `soc_rotations` is the oracle's per-vector path before it formed each
-vector's pair products once, kept verbatim: the reduced norm summed from
-the squared quaternion components, the primitivity test, and the
-rotation reduced by gcd(s, content) before M^T C M = den^2 C is checked
-on all 16 entries and det M = den^4."""
+vector's pair products once, kept verbatim but for the dense evaluation
+moved into `conjugation_rows`: the reduced norm summed from the squared
+quaternion components, the primitivity test, and the rotation reduced by
+gcd(s, content) before M^T C M = den^2 C is checked on all 16 entries and
+det M = den^4."""
 
 from __future__ import annotations
 
@@ -115,12 +120,17 @@ def nr_zcoords(zc: Sequence[int]) -> GoldenInt:
                      sum((2 * a + b) * b for a, b in parts) // 4)
 
 
+def conjugation_rows(w: Sequence[int]):
+    """The 4x4 rows of the conjugation table evaluated at w: entry (c, k) is
+    the dot product of w with table row 4 c + k."""
+    flat = [sum(map(mul, w, row)) for row in a4._conjugation_table()]
+    return tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
+
+
 def l_rotation_zcoords(zc: Sequence[int], s: int):
     """The rotation of the icosian with Z^8 coordinates zc and scale s, as
     (M, den), checked after the reduction by gcd(s, content)."""
-    w = [zc[i] * zc[j] for i, j in _PAIRS]
-    flat = [sum(map(mul, w, row)) for row in a4._conjugation_table()]
-    rows = tuple(tuple(flat[4 * c:4 * c + 4]) for c in range(4))
+    rows = conjugation_rows([zc[i] * zc[j] for i, j in _PAIRS])
     g = gcd(s, *(x for row in rows for x in row))
     m = tuple(tuple(rows[c][k] // g for c in range(4)) for k in range(4))
     den = s // g

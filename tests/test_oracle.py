@@ -207,6 +207,12 @@ def test_soc_oracle_matches_formula():
         assert oracle_soc_count(n) == f_soc(n), n
 
 
+def test_soc_oracle_matches_formula_at_a_split_prime():
+    # 11 = (3 + tau)(4 - tau), the least index with a split prime factor:
+    # its one admissible reduced norm is the product of the conjugate primes
+    assert oracle_soc_count(11) == f_soc(11)
+
+
 def test_soc_rotations_match_the_reference_path(monkeypatch):
     # the oracle collects the same (M, den) set, before the closure under
     # negation, as the per-vector path that summed the norm from components

@@ -34,6 +34,8 @@ from a4csl.icosian import (
 )
 from a4csl.lattice import ExactLattice, det_int
 
+import soc_reference
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -142,8 +144,35 @@ def test_corrupted_table_entry_makes_l_rotation_raise(monkeypatch):
     table[0][0] += 1  # coordinate 0 of K_00(b_0); z_0 = 1 for q
     corrupted = tuple(tuple(row) for row in table)
     monkeypatch.setattr(a4, "_conjugation_table", lambda: corrupted)
+    # the packer without its cache, which holds columns of the sound table:
+    # the kernel packs the corrupted one, and the cache stays sound
+    monkeypatch.setattr(a4, "_packed_columns", a4._packed_columns.__wrapped__)
     with pytest.raises(ConsistencyError):
         l_rotation(q)
+
+
+def test_packed_kernel_is_exact_at_its_width_bound():
+    # w need not be pair products: the field width must hold span * max|w_k|
+    table = a4._conjugation_table()
+    r = max(range(len(table)), key=lambda i: sum(map(abs, table[i])))
+    span = sum(map(abs, table[r]))
+    assert span == a4._packed_columns(a4._FIELD_BITS)[0] == 33
+    # both sides of each power of two that span * M can reach, to 2^200,
+    # so that one bit less of width breaks some entry at any rounding
+    magnitudes = {1, 2**63 - 1, 2**63, 2**63 + 1, 2**64}
+    for b in range(201):
+        least = -(-(1 << b) // span)  # the least M with span M >= 2^b
+        magnitudes |= {least - 1, least}
+    for m in sorted(magnitudes - {0}):
+        for sign in (1, -1):
+            # every |w_k| = m with the signs of row r: entry r is +-span m
+            w = [sign * m if x >= 0 else -sign * m for x in table[r]]
+            rows = soc_reference.conjugation_rows(w)
+            assert rows[r // 4][r % 4] == sign * span * m
+            assert _conjugation_matrix(w) == rows, m
+    # the pair products of the slowest csl input below the scale cap
+    w = pair_products((1677980717078, 708113534483, 0, 0, 0, 0, 0, 0))
+    assert _conjugation_matrix(w) == soc_reference.conjugation_rows(w)
 
 
 def reflected(rows):
