@@ -34,7 +34,6 @@ from .a4 import (
     CARTAN_A4,
     ConsistencyError,
     CslResult,
-    IrrationalDenominator,
     csl_of,
     denominator_of,
     dual_lattice_gram,
@@ -56,7 +55,6 @@ from .counting import (
     zeta_golden_coeffs,
     check_ssl_identity,
     check_soc_identity,
-    representable_ssl_indices,
 )
 from .oracle import (
     SectionReport,

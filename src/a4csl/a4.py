@@ -12,9 +12,9 @@ module turns the algebra into explicit integer sublattices of A4, each an
   lattice L(q), computed two independent ways (the twist-symmetrised
   right ideal, and the literal intersection L with R(q)L) which are
   checked against each other on every call,
-* `denominator_of` computes the exact denominator of the induced
-  orthogonal matrix, which is irrational precisely when nr(q) nr(q)' is
-  not a perfect square,
+* `denominator_of` computes the exact denominator of the rotation that
+  an admissible icosian induces (nr(q) nr(q)' a perfect square; any
+  other raises NotAdmissibleError),
 * `l_rotation` gives that rotation as an integer matrix in the L basis over
   its denominator, the canonical form the rotation counts work with.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -366,33 +366,11 @@ def csl_of(q: Icosian) -> CslResult:
                      sigma=ext.sigma)
 
 
-@dataclass(frozen=True)
-class IrrationalDenominator:
-    """Denominator of an orthogonal matrix of the shape sqrt(square) with
-    a non-square positive integer under the root."""
-
-    square: int
-
-    def __str__(self) -> str:
-        return f"sqrt({self.square})"
-
-
-def denominator_of(q: Icosian) -> int | IrrationalDenominator:
-    """Exact denominator of the orthogonal map x -> q x twist(q) / s on L,
-    the least positive multiplier making the matrix integral.
-
-    For admissible q the result is the integer s / gcd(s, content); for
-    non-admissible q the true scale is an irrational square root and the
-    result reports its square.
-    """
-    if not q:
-        raise ValueError("the zero icosian induces no rotation")
+def denominator_of(q: Icosian) -> int:
+    """Exact denominator of the rotation x -> q x twist(q) / s on L, the
+    least positive multiplier making its matrix integral: s / gcd(s, the
+    content of the integer rows q b twist(q)).  Raises NotAdmissibleError
+    unless s is a positive integer (q = 0 included), as `l_rotation` does."""
+    s = q.scale()
     content = gcd(*(x for row in _conjugation_matrix(pair_products(q.zcoords())) for x in row))
-    n4 = q.norm_quadruple()
-    s = isqrt(n4)
-    if s * s == n4:
-        return s // gcd(s, content)
-    if n4 % (content * content):
-        raise ConsistencyError(
-            f"content^2 {content * content} does not divide nr(q) nr(q)' = {n4}")
-    return IrrationalDenominator(n4 // (content * content))
+    return s // gcd(s, content)

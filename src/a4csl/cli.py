@@ -147,72 +147,58 @@ def _cmd_series(args, parser) -> int:
     return 0 if ok else 1
 
 
+def _emit_record(fields: Sequence[tuple[str, str, object]], args) -> None:
+    """Write one record, a list of (JSON key, text label, value), as JSON
+    (ints as numbers, tuples as lists, any other value as its string) or as
+    text: one `label: value` line per field in list order, a vector
+    space-separated and a matrix in rows below its label."""
+    if args.format == "json":
+        payload = {key: value for key, _, value in fields}
+        _emit(json.dumps(payload, indent=2, sort_keys=True, default=str), args.out)
+        return
+    lines = []
+    for _, label, value in fields:
+        if not isinstance(value, tuple):
+            lines.append(f"{label}: {value}")
+        elif isinstance(value[0], tuple):
+            lines += [f"{label}:", _matrix_text(value)]
+        else:
+            lines.append(f"{label}: " + " ".join(map(str, value)))
+    _emit("\n".join(lines), args.out)
+
+
 def _cmd_csl(args, parser) -> int:
     q = _parse_zcoords(args.coords, parser)
     scale = isqrt(q.norm_quadruple())
     if scale > _MAX_CSL_SCALE:
         parser.error(f"icosian scale {scale} is above the limit {_MAX_CSL_SCALE}")
     result = csl_of(q)
-    den = denominator_of(q)
     ext = result.extension
-    if args.format == "json":
-        payload = {
-            "input": list(q.zcoords()),
-            "reduced_norm": str(q.nr()),
-            "sigma": result.sigma,
-            "denominator": den if isinstance(den, int) else str(den),
-            "alpha": str(ext.alpha),
-            "extended": list(ext.extended.zcoords()),
-            "rotation": [[str(x) for x in row] for row in result.rotation.entries],
-            "basis": [list(row) for row in result.lattice.basis],
-            "index": result.lattice.index,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [
-            "input zcoords: " + " ".join(str(c) for c in q.zcoords()),
-            f"reduced norm: {q.nr()}",
-            "extended zcoords: " + " ".join(str(c) for c in ext.extended.zcoords()),
-            f"extension multiplier alpha: {ext.alpha}",
-            f"coincidence index sigma: {result.sigma}",
-            f"rotation denominator: {den}",
-            "rotation matrix:",
-            _matrix_text(result.rotation.entries),
-            "coincidence site lattice (HNF rows):",
-            _matrix_text(result.lattice.basis),
-            f"lattice index: {result.lattice.index}",
-        ]
-        _emit("\n".join(lines), args.out)
+    _emit_record([
+        ("input", "input zcoords", q.zcoords()),
+        ("reduced_norm", "reduced norm", q.nr()),
+        ("extended", "extended zcoords", ext.extended.zcoords()),
+        ("alpha", "extension multiplier alpha", ext.alpha),
+        ("sigma", "coincidence index sigma", result.sigma),
+        ("denominator", "rotation denominator", denominator_of(q)),
+        ("rotation", "rotation matrix", result.rotation.entries),
+        ("basis", "coincidence site lattice (HNF rows)", result.lattice.basis),
+        ("index", "lattice index", result.lattice.index),
+    ], args)
     return 0
 
 
 def _cmd_ssl(args, parser) -> int:
     p = _parse_zcoords(args.coords, parser)
     sub = ssl_of(p)
-    gram = sublattice_gram(sub)
-    scale = p.norm_quadruple()
-    if args.format == "json":
-        payload = {
-            "input": list(p.zcoords()),
-            "reduced_norm": str(p.nr()),
-            "norm_scale": scale,
-            "basis": [list(row) for row in sub.basis],
-            "index": sub.index,
-            "gram": [list(row) for row in gram],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        lines = [
-            "input zcoords: " + " ".join(str(c) for c in p.zcoords()),
-            f"reduced norm: {p.nr()}",
-            f"norm scale: {scale}",
-            f"lattice index: {sub.index}",
-            "similar sublattice (HNF rows):",
-            _matrix_text(sub.basis),
-            "gram matrix:",
-            _matrix_text(gram),
-        ]
-        _emit("\n".join(lines), args.out)
+    _emit_record([
+        ("input", "input zcoords", p.zcoords()),
+        ("reduced_norm", "reduced norm", p.nr()),
+        ("norm_scale", "norm scale", p.norm_quadruple()),
+        ("index", "lattice index", sub.index),
+        ("basis", "similar sublattice (HNF rows)", sub.basis),
+        ("gram", "gram matrix", sublattice_gram(sub)),
+    ], args)
     return 0
 
 

@@ -96,21 +96,6 @@ def f_ssl_values(limit: int) -> list[int]:
     return expand_multiplicative(_f_ssl_pp, limit)
 
 
-def representable_ssl_indices(limit: int) -> set[int]:
-    """The set of norm scales <= limit that occur at all: the absolute
-    values of the binary form k^2 + k*l - l^2 (the norms of Z[tau])."""
-    if limit < 1:
-        return set()
-    box = 2 * isqrt(limit) + 2
-    out: set[int] = set()
-    for k in range(-box, box + 1):
-        for l in range(-box, box + 1):
-            n = abs(k * k + k * l - l * l)
-            if 1 <= n <= limit:
-                out.add(n)
-    return out
-
-
 # -- coincidence rotations ---------------------------------------------------
 
 def _f_soc_pp(p: int, r: int) -> int:

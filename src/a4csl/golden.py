@@ -140,9 +140,6 @@ class GoldenInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- divisibility ----------------------------------------------------
 
     def exact_div(self, other: GoldenInt | int) -> GoldenInt:
@@ -277,12 +274,6 @@ class GoldenRat:
         return GoldenRat.make(self.num * other.den - other.num * self.den,
                               self.den * other.den)
 
-    def __rsub__(self, other: GoldenRat | GoldenInt | int) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other: GoldenRat | GoldenInt | int) -> GoldenRat:
         other = _coerce_rat(other)
         if other is NotImplemented:
@@ -316,9 +307,6 @@ class GoldenRat:
         if self.den != 1:
             raise ValueError(f"{self} is not integral over Z[tau]")
         return self.num
-
-    def is_rational(self) -> bool:
-        return self.num.b == 0
 
     def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
         """Coefficients (a, b) of a + b*tau as exact fractions."""

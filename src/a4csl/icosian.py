@@ -164,15 +164,9 @@ class Icosian:
     def nr(self) -> GoldenInt:
         return nr_zcoords(self.z)
 
-    def trace_norm(self) -> int:
-        return self.nr().trace()
-
     def norm_quadruple(self) -> int:
         """The rational integer nr(q) * nr(q)' (always >= 0)."""
         return self.nr().signed_norm()
-
-    def is_unit(self) -> bool:
-        return self.nr().is_unit()
 
     def is_primitive(self) -> bool:
         return is_primitive_zcoords(self.z)

@@ -12,6 +12,7 @@ HNF.  Matrices are tuples of tuples, rows are generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm, prod
@@ -108,6 +109,13 @@ def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
 
 # -- rational lattices ----------------------------------------------------
 
+def _rational(x: int | Fraction) -> int | Fraction:
+    """x itself if it is an int or a Fraction; TypeError for anything else."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"lattice entry {x!r} is neither an int nor a Fraction")
+    return x
+
+
 @dataclass(frozen=True)
 class ExactLattice:
     """A finitely generated Z-module in Q^n: the Z-span of basis / den.
@@ -123,8 +131,9 @@ class ExactLattice:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> ExactLattice:
-        """The lattice spanned by integer or Fraction rows."""
-        rows = [tuple(r) for r in rows]
+        """The lattice spanned by integer or Fraction rows (TypeError for
+        any other entry)."""
+        rows = [tuple(map(_rational, r)) for r in rows]
         if not rows:
             raise ValueError("need at least one generator")
         dim = len(rows[0])
@@ -154,10 +163,11 @@ class ExactLattice:
         return prod(row[i] for i, row in enumerate(self.basis))
 
     def contains(self, vector: Sequence) -> bool:
-        """Whether an integer or Fraction vector lies in the lattice."""
+        """Whether an integer or Fraction vector lies in the lattice
+        (TypeError for any other entry)."""
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length differs from the ambient dimension")
-        scaled = [x * self.den for x in vector]
+        scaled = [_rational(x) * self.den for x in vector]
         if any(x.denominator != 1 for x in scaled):
             return False
         # v is in the lattice exactly when adding it leaves the HNF unchanged
@@ -357,7 +367,7 @@ def short_vectors(gram: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[t
 
 def _walk(r: IntMatrix, max_diag: int) -> dict[int, list[tuple[int, ...]]]:
     """One short-vector walk of r to max_diag: the vectors, one per +-pair,
-    grouped by norm in walk order.  The group sizes are the theta counts."""
+    grouped by norm in walk order, the candidates of the isometry search."""
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     for v, norm in short_vectors(r, max_diag):
         by_norm.setdefault(norm, []).append(v)
@@ -388,13 +398,11 @@ def _divisors(g: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, dict[int, int], tuple[int, int]]:
-    """The LLL-reduced form of a target Gram, its determinant, its theta
-    counts up to its largest diagonal entry and its first two determinantal
-    divisors, computed once per target."""
+def _reduced_target(g2: IntMatrix) -> tuple[IntMatrix, int, tuple[int, int]]:
+    """The LLL-reduced form of a target Gram, its determinant and its first
+    two determinantal divisors, computed once per target."""
     r2, _ = lll_reduce_gram(g2)  # raises unless g2 passes the Gram gate
-    by_norm = _walk(r2, max(r2[i][i] for i in range(len(r2))))
-    return r2, det_int(r2), {k: len(v) for k, v in by_norm.items()}, _divisors(r2)
+    return r2, det_int(r2), _divisors(r2)
 
 
 def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -402,7 +410,7 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
 
     Preconditions: both integer, symmetric and positive definite, of the
     same dimension and determinant (violations raise TypeError for a
-    non-integer entry, ValueError otherwise).  It runs in five stages:
+    non-integer entry, ValueError otherwise).  It runs in four stages:
 
     1. G1 passes the Gram gate (`_ldl`) once; its last leading minor is
        det G1.  G2's gate, reduction and invariants are cached per G2.
@@ -415,21 +423,19 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
        divides the other.  So this stage never rejects an equivalent
        pair, and it spares the reduction and the walk of every candidate
        it rejects.
-    4. G1 is LLL reduced to R1.
-    5. One walk of R1 to the largest diagonal entry of the reduced G2
-       supplies a theta-series prefilter (pair counts at each norm up to
-       that entry) and the vectors of the backtracking search.
+    4. G1 is LLL reduced to R1, and one walk of R1 to the largest diagonal
+       entry of the reduced G2 supplies the vectors of a backtracking
+       search.
 
     Past stage 3 the search alone decides: the vectors it picks are the
     rows of a V with V R1 V^T = R2, and as the determinants are equal V
-    is unimodular, so the theta prefilter's range changes no answer.  The
-    search keeps the product R1 v of each chosen vector v, so a candidate
-    c is tested against it with the single dot product c . R1 v, whose
-    value decides c and -c alike.
+    is unimodular.  The search keeps the product R1 v of each chosen
+    vector v, so a candidate c is tested against it with the single dot
+    product c . R1 v, whose value decides c and -c alike.
     """
     lead, _ = _ldl(g1)  # raises unless g1 passes the Gram gate
     # integer keys, so a float target cannot share an integer target's entry
-    r2, det2, theta2, divisors2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
+    r2, det2, divisors2 = _reduced_target(tuple(tuple(map(index, row)) for row in g2))
     n = len(lead) - 1
     if len(r2) != n:
         raise ValueError("dimension mismatch")
@@ -440,8 +446,6 @@ def forms_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -
     r1, _ = lll_reduce_gram(g1)
 
     by_norm = _walk(r1, max(r2[i][i] for i in range(n)))
-    if {k: len(v) for k, v in by_norm.items()} != theta2:
-        return False
 
     # products[j] = R1 v_j for the j-th chosen vector v_j
     products: list[tuple[int, ...]] = []

@@ -281,13 +281,15 @@ def oracle_soc_count(n: int) -> int:
 # coincidence site lattice sampling
 
 
-def oracle_csl_properties(
-    samples: int = 100, seed: int = 0, sigma_cap: int = 1000
-) -> dict:
+#: the largest coincidence index that `oracle_csl_properties` samples
+_SIGMA_CAP = 1000
+
+
+def oracle_csl_properties(samples: int = 100, seed: int = 0) -> dict:
     """Check structural CSL invariants on randomly sampled icosians.
 
     Draws primitive admissible icosians with coordinates in [-2, 2] and
-    coincidence index at most `sigma_cap`, computes each CSL by both the
+    coincidence index at most `_SIGMA_CAP`, computes each CSL by both the
     ideal route and the definitional intersection (`csl_of` verifies the
     two agree), and accumulates pass counts for the invariants:
 
@@ -324,7 +326,7 @@ def oracle_csl_properties(
             rejected += 1
             continue
         ext = q.extension()
-        if ext.sigma > sigma_cap:
+        if ext.sigma > _SIGMA_CAP:
             rejected += 1
             continue
         accepted += 1
@@ -334,7 +336,7 @@ def oracle_csl_properties(
         if result.lattice.index == sigma:
             checks["index_equals_sigma"] += 1
         den = denominator_of(q)
-        if isinstance(den, int) and sigma % den == 0 and (den * den) % sigma == 0:
+        if sigma % den == 0 and (den * den) % sigma == 0:
             checks["denominator_chain"] += 1
         if all(
             result.lattice.contains(tuple(sigma if j == i else 0 for j in range(4)))
@@ -348,7 +350,7 @@ def oracle_csl_properties(
         "requested": samples,
         "accepted": accepted,
         "rejected": rejected,
-        "sigma_cap": sigma_cap,
+        "sigma_cap": _SIGMA_CAP,
         "sigma_min": min(sigma_seen),
         "sigma_max": max(sigma_seen),
         "checks": checks,
@@ -452,8 +454,12 @@ def verify_all(
     The work is split into independent units (one per count, one for the
     sampling section, one for the Dirichlet-series identities) which may
     be distributed over worker processes; results are reassembled in a
-    fixed order so the report is identical regardless of `threads`.
+    fixed order so the report is identical regardless of `threads`.  A
+    range or size below 1 raises ValueError before any unit runs: a range
+    below 1 would check nothing.
     """
+    if min(max_ssl_m, max_ssl_m_dual, max_soc_n, csl_samples, series_limit) < 1:
+        raise ValueError("every oracle range and sample size must be at least 1")
     specs: list[tuple] = []
     specs += [("ssl", "cartan", m) for m in range(1, max_ssl_m + 1)]
     specs += [("ssl", "dual", m) for m in range(1, max_ssl_m_dual + 1)]

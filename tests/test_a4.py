@@ -6,7 +6,6 @@ import pytest
 from a4csl import a4
 from a4csl.a4 import (
     CARTAN_A4,
-    IrrationalDenominator,
     L_BASIS,
     csl_of,
     denominator_of,
@@ -229,9 +228,10 @@ def test_denominator_examples():
     assert denominator_of(Icosian.from_quat(Quat.of(1, 0, 0, 0))) == 1
     shell = enumerate_by_trace_norm(5)
     v = next(Icosian.from_zcoords(w) for w in shell if nr_zcoords(w) == GoldenInt(2, 1))
-    den = denominator_of(v)
-    assert den == IrrationalDenominator(5)
-    assert str(den) == "sqrt(5)"
+    # nr(v) nr(v)' = N(2 + tau) = 5 is no square: the scale is irrational
+    assert v.norm_quadruple() == 5
+    with pytest.raises(NotAdmissibleError):
+        denominator_of(v)
 
 
 def test_l_of_ideal_full_rank():

@@ -17,7 +17,6 @@ from a4csl.counting import (
     f_ssl,
     f_ssl_values,
     _zeta_icosian_sparse,
-    representable_ssl_indices,
     zeta_golden_coeffs,
 )
 
@@ -179,12 +178,8 @@ def test_soc_closed_form_matches_dense_convolution(limit):
 
 
 def test_representable_indices_small():
-    assert representable_ssl_indices(20) == {1, 4, 5, 9, 11, 16, 19, 20}
-
-
-def test_representable_indices_match_nonzero_counts():
-    ssl = f_ssl_values(150)
-    assert representable_ssl_indices(150) == {m for m in range(1, 151) if ssl[m]}
+    ssl = f_ssl_values(20)
+    assert {m for m in range(1, 21) if ssl[m]} == {1, 4, 5, 9, 11, 16, 19, 20}
 
 
 def test_bad_arguments():

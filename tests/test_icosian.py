@@ -200,7 +200,6 @@ def test_unit_group_has_order_120():
     assert len({u.zcoords() for u in units}) == 120
     for u in units:
         assert u.nr() == ONE
-        assert u.is_unit()
     # closed under multiplication
     rng = random.Random(229)
     keys = {u.zcoords() for u in units}
@@ -213,7 +212,7 @@ def test_odd_shell_is_nonempty():
     shell = enumerate_by_trace_norm(3)
     assert 2 * len(shell) == 240
     for v in shell[:10]:
-        assert Icosian.from_zcoords(v).trace_norm() == 3
+        assert Icosian.from_zcoords(v).nr().trace() == 3
 
 
 def test_primitivity():

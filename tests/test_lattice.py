@@ -92,6 +92,18 @@ def test_hnf_refuses_non_integer_entries():
     assert (lat.basis, lat.den) == (((1, 10), (0, 30)), 10)
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, "2"], ids=["float", "integral-float", "str"])
+@pytest.mark.parametrize("call", [
+    lambda x: ExactLattice.from_rows([[x, 0], [0, 1]]),
+    lambda x: ExactLattice.from_rows([[Fraction(1, 2), 0], [0, x]]),
+    lambda x: ExactLattice.from_rows([[1, 0], [0, 1]]).contains([x, 0]),
+], ids=["from_rows", "from_rows-with-a-fraction", "contains"])
+def test_exact_lattice_refuses_entries_other_than_int_and_fraction(call, entry):
+    # as hnf and det_int do; an integral float is refused too
+    with pytest.raises(TypeError):
+        call(entry)
+
+
 def test_det_int_refuses_non_integer_entries():
     # Bareiss floor division would round these: the true values are -0.75 and -0.02
     for m in ([[0.5, 1], [1, 0.5]], [[0.1, 0.2], [0.3, 0.4]], [[Fraction(1, 2), 1], [1, 1]],

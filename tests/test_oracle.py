@@ -270,6 +270,17 @@ def test_csl_property_sampler_all_pass():
     assert all(v == 5 for v in report["checks"].values())
 
 
+@pytest.mark.parametrize("size", ["max_ssl_m", "max_ssl_m_dual", "max_soc_n",
+                                  "csl_samples", "series_limit"])
+def test_verify_all_refuses_an_empty_range(size, monkeypatch):
+    # a section over no index would report ok without checking anything; the
+    # refusal comes before any unit runs
+    monkeypatch.setattr(oracle, "_run_unit", None)
+    sizes = dict(max_ssl_m=1, max_ssl_m_dual=1, max_soc_n=1, csl_samples=1, series_limit=1)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_all(**{**sizes, size: 0})
+
+
 def test_verify_all_serial_report():
     report = verify_all(
         max_ssl_m=4,

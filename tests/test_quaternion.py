@@ -101,7 +101,7 @@ def test_rotation_preserves_norm_sampled():
         n2 = q.nr() * q.twist().nr()
         # nr(q) is rational so the scale is nr(q) itself if integral
         nr = q.nr()
-        if not nr.is_rational():
+        if nr.num.b:
             continue
         num, den = nr.num.a, nr.den
         if den != 1:

@@ -211,8 +211,8 @@ def test_the_gram_gate_runs_before_the_divisor_prefilter():
 
 
 # A2 + A2 and a form of the same determinant with as many pairs of norm 2:
-# the walk to the target's largest diagonal entry, 2, cannot tell them apart,
-# so the isometry search has to reject the pair
+# their theta counts to the target's largest diagonal entry, 2, are equal,
+# so only the isometry search, by its product test, can reject the pair
 A2_A2 = ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))
 SIX_ROOT_PAIRS = ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 1), (-1, 0, 1, 3))
 
@@ -224,9 +224,9 @@ def test_search_rejects_forms_the_theta_counts_pass():
     # would have to give up if the prefilter compared those too
     assert lattice._divisors(SIX_ROOT_PAIRS) == lattice._divisors(A2_A2) == (1, 1)
     assert minors_gcd(SIX_ROOT_PAIRS, 3) == 1 and minors_gcd(A2_A2, 3) == 3
-    r, _ = lll_reduce_gram(SIX_ROOT_PAIRS)
-    theta = {k: len(v) for k, v in lattice._walk(r, 2).items()}
-    assert theta == lattice._reduced_target(A2_A2)[2] == {2: 6}
+    theta = [{k: len(v) for k, v in lattice._walk(lll_reduce_gram(g)[0], 2).items()}
+             for g in (SIX_ROOT_PAIRS, A2_A2)]
+    assert theta == [{2: 6}, {2: 6}]
     assert not forms_equivalent(SIX_ROOT_PAIRS, A2_A2)
     assert not twice_range_equivalent(SIX_ROOT_PAIRS, A2_A2)
 
@@ -285,7 +285,7 @@ def test_forms_equivalent_to_a_conjugate(case):
 # same determinant as CARTAN_A4 and DUAL respectively, but not equivalent:
 # each represents 1, and both A4 forms are even.  NOT_DUAL's 2x2 minors have
 # gcd 1 against the dual's 5, so the divisor prefilter refuses it; ODD_DUAL
-# has the dual's divisors (1, 5), so the theta counts and the search decide
+# has the dual's divisors (1, 5), so it is reduced and the search decides
 NOT_CARTAN = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5))
 NOT_DUAL = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 5, 0), (0, 0, 0, 25))
 ODD_DUAL = ((1, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5))

@@ -17,7 +17,6 @@ from a4csl.a4 import (
     CARTAN_A4,
     L_BASIS,
     ConsistencyError,
-    IrrationalDenominator,
     _conjugation_matrix,
     denominator_of,
     l_coords,
@@ -45,17 +44,15 @@ def quat_rows(q: Icosian) -> tuple[tuple[int, ...], ...]:
     return tuple(l_coords(q.quat * b * qt.quat) for b in L_BASIS)
 
 
-def quat_denominator(q: Icosian):
-    """denominator_of as it was computed before the kernel existed."""
+def quat_denominator(q: Icosian) -> int:
+    """denominator_of of an admissible q, as it was computed before the
+    kernel existed."""
     content = 0
     for row in quat_rows(q):
         for x in row:
             content = gcd(content, x)
-    n4 = q.norm_quadruple()
-    s = isqrt(n4)
-    if s * s == n4:
-        return s // gcd(s, content)
-    return IrrationalDenominator(n4 // (content * content))
+    s = isqrt(q.norm_quadruple())
+    return s // gcd(s, content)
 
 
 def small_primitive_icosians():
@@ -105,9 +102,12 @@ def test_ssl_and_denominator_match_the_quaternion_route():
     irrational = 0
     for q in sample_icosians(150, seed=5):
         assert ssl_of(q) == ExactLattice.from_rows(quat_rows(q))
-        den = denominator_of(q)
-        assert den == quat_denominator(q)
-        irrational += isinstance(den, IrrationalDenominator)
+        if q.is_admissible():
+            assert denominator_of(q) == quat_denominator(q)
+        else:
+            with pytest.raises(NotAdmissibleError):
+                denominator_of(q)
+            irrational += 1
     assert 0 < irrational < 150  # both branches are exercised
 
 
