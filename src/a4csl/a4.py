@@ -12,9 +12,9 @@ module turns the algebra into explicit integer sublattices of A4, each an
   lattice L(q), computed two independent ways (the twist-symmetrised
   right ideal, and the literal intersection L with R(q)L) which are
   checked against each other on every call,
-* `denominator_of` computes the exact denominator of the rotation that
-  an admissible icosian induces (nr(q) nr(q)' a perfect square; any
-  other raises NotAdmissibleError),
+* `denominator_of` reads from `l_rotation` the exact denominator of the
+  rotation that an admissible icosian induces (nr(q) nr(q)' a perfect
+  square; any other raises NotAdmissibleError),
 * `l_rotation` gives that rotation as an integer matrix in the L basis over
   its denominator, the canonical form the rotation counts work with.
 
@@ -368,9 +368,9 @@ def csl_of(q: Icosian) -> CslResult:
 
 def denominator_of(q: Icosian) -> int:
     """Exact denominator of the rotation x -> q x twist(q) / s on L, the
-    least positive multiplier making its matrix integral: s / gcd(s, the
-    content of the integer rows q b twist(q)).  Raises NotAdmissibleError
-    unless s is a positive integer (q = 0 included), as `l_rotation` does."""
-    s = q.scale()
-    content = gcd(*(x for row in _conjugation_matrix(pair_products(q.zcoords())) for x in row))
-    return s // gcd(s, content)
+    least positive multiplier making its matrix integral: the denominator
+    of `l_rotation`, s / gcd(s, the content of the integer rows
+    q b twist(q)), after that routine's form and determinant checks.
+    Raises NotAdmissibleError unless s is a positive integer (q = 0
+    included)."""
+    return l_rotation(q)[1]

@@ -51,8 +51,9 @@ _PROFILES = {
 # The largest accepted sizes; a larger one is a usage error.  Each cap runs
 # within about a minute (measured on 2 shared vCPUs, Python 3.11): `count
 # --max` 10^6 in 2.4 s and 197 MB, `series --limit` 10^6 in up to 4.7 s and
-# 180 MB (soc; ssl 3.0 s and 82 MB), `enumerate-icosians --trace-norm` 24
-# in 1.5 s as text and 2.3 s as JSON, 36 MB either way.
+# 180 MB (soc; ssl, over the norm scales themselves, 1.7-3.0 s and 86 MB),
+# `enumerate-icosians --trace-norm` 24 in 1.5 s as text and 2.3 s as JSON,
+# 36 MB either way.
 _MAX_COUNT = 1_000_000
 _MAX_SERIES_LIMIT = 1_000_000
 _MAX_TRACE_NORM = 24

@@ -5,15 +5,20 @@ of the A4 lattice, with exact Dirichlet-series cross-checks.
 and `f_soc(n)` counts coincidence rotations of index n; both are
 multiplicative and given by explicit prime-power rules.  The two
 `check_*_identity` functions re-derive long stretches of the counting
-sequences from closed Dirichlet-series product forms by exact integer
-convolution arithmetic and compare them coefficient by coefficient, so a
-single wrong value anywhere makes them return False.
+sequences from closed Dirichlet-series product forms and compare them
+coefficient by coefficient, so a single wrong value anywhere makes them
+return False.  Every multiplicative factor of those forms, the inverse
+series 1/zeta and 1/zeta_K included, is expanded from its Euler factors
+by `expand_multiplicative`, and every product of factors is an exact
+sparse integer convolution, `dirichlet_convolve`.  The SSL identity is
+written in the variable u = 2s, so it runs over the norm scales m
+themselves, not over the lattice indices m^2.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .golden import ConsistencyError, factor_int, splitting_type
 
@@ -119,7 +124,7 @@ def f_soc_values(limit: int) -> list[int]:
     return expand_multiplicative(_f_soc_pp, limit)
 
 
-# -- golden and icosian zeta coefficients -----------------------------------
+# -- zeta coefficients and inverse series ----------------------------------
 
 def _zeta_golden_pp(p: int, r: int) -> int:
     kind = splitting_type(p)
@@ -136,23 +141,17 @@ def zeta_golden_coeffs(limit: int) -> list[int]:
     return expand_multiplicative(_zeta_golden_pp, limit)
 
 
-def _zeta_icosian_sparse(limit: int) -> dict[int, int]:
-    """The nonzero coefficients c(n), n <= limit, of the right-ideal counting
-    series of the icosian ring, zeta_I(s) = zeta_K(2s) * zeta_K(2s - 1);
-    they all sit on the perfect squares n = (jk)^2."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    top = isqrt(limit)
-    ak = zeta_golden_coeffs(top) if top >= 1 else [0, 1]
-    out: dict[int, int] = {}
-    for j in range(1, top + 1):
-        if not ak[j]:
-            continue
-        for k in range(1, top // j + 1):
-            if ak[k]:
-                n = (j * k) ** 2
-                out[n] = out.get(n, 0) + ak[j] * ak[k] * k
-    return out
+def _zeta_golden_inverse_pp(p: int, r: int) -> int:
+    """1/zeta_K at p^r: the coefficients of its Euler factor (1 - x) at 5,
+    (1 - x)^2 at a split p and (1 - x^2) at an inert p, with x = p^-s."""
+    factor = {"ramified": (1, -1), "split": (1, -2, 1),
+              "inert": (1, 0, -1)}[splitting_type(p)]
+    return factor[r] if r < len(factor) else 0
+
+
+def _mobius_pp(p: int, r: int) -> int:
+    """1/zeta at p^r: the Euler factor (1 - x)."""
+    return -1 if r == 1 else 0
 
 
 # -- exact sparse Dirichlet arithmetic ---------------------------------------
@@ -177,69 +176,34 @@ def dirichlet_convolve(a: Mapping[int, int], b: Mapping[int, int],
     return {n: c for n, c in out.items() if c}
 
 
-def dirichlet_inverse(coeffs: Iterable[int]) -> list[int]:
-    """Inverse of a Dirichlet series given densely (index = n, coeffs[1]
-    must be 1); returns the dense inverse of the same length."""
-    a = list(coeffs)
-    if len(a) < 2 or a[1] != 1:
-        raise ValueError("need a series with first coefficient 1")
-    inv = [0] * len(a)
-    inv[1] = 1
-    for n in range(2, len(a)):
-        acc = 0
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                e = n // d
-                if d > 1:
-                    acc += a[d] * inv[e]
-                if e != d and e > 1:
-                    acc += a[e] * inv[d]
-        inv[n] = -acc
-    return inv
-
-
-def _mobius(limit: int) -> list[int]:
-    return dirichlet_inverse([0] + [1] * limit) if limit >= 1 else [0]
-
-
-def _fourth_root(n: int) -> int:
-    return isqrt(isqrt(n))
-
-
 # -- the two series identities ------------------------------------------------
 
 def check_ssl_identity(max_scale: int,
                        f: Callable[[int], int] | None = None) -> bool:
     """Verify, exactly, that the SSL counts match the closed product form
 
-        sum_m f_ssl(m) m^{-2s} = zeta(4s) zeta_I(s) / zeta_K(4s)
+        sum_m f_ssl(m) m^{-2s} = zeta(4s) zeta_K(2s) zeta_K(2s - 1) / zeta_K(4s)
 
-    coefficient by coefficient for every norm scale m <= max_scale.  The
-    right-hand side is expanded by sparse integer Dirichlet convolution
-    over ordinary indices up to max_scale^2; all its mass must sit on
-    perfect squares m^2 with coefficient f(m)."""
+    (zeta_K(2s) zeta_K(2s - 1) counts the right ideals of the icosian
+    ring) coefficient by coefficient for every norm scale m <= max_scale.
+    In u = 2s it is a series in the norm scale m itself,
+
+        sum_m f_ssl(m) m^{-u} = zeta_K(u) zeta_K(u - 1) zeta(2u) / zeta_K(2u),
+
+    whose four factors are expanded to max_scale and multiplied."""
     if max_scale < 1:
         raise ValueError("max_scale must be at least 1")
     values = f if f is not None else f_ssl_values(max_scale).__getitem__
-    limit = max_scale * max_scale
-
-    zi = _zeta_icosian_sparse(limit)
-
-    k4 = _fourth_root(limit)
-    z4 = {k ** 4: 1 for k in range(1, k4 + 1)}
-    ak_inv = dirichlet_inverse(zeta_golden_coeffs(k4) if k4 >= 1 else [0, 1])
-    zk4_inv = {k ** 4: ak_inv[k] for k in range(1, k4 + 1) if ak_inv[k]}
-
-    rhs = dirichlet_convolve(dirichlet_convolve(z4, zk4_inv, limit), zi, limit)
-
-    for n in rhs:
-        root = isqrt(n)
-        if root * root != n:
-            return False
-    for m in range(1, max_scale + 1):
-        if rhs.get(m * m, 0) != values(m):
-            return False
-    return True
+    root = isqrt(max_scale)
+    ak_inv = expand_multiplicative(_zeta_golden_inverse_pp, root)
+    z2 = {k * k: 1 for k in range(1, root + 1)}
+    zk2_inv = {k * k: ak_inv[k] for k in range(1, root + 1) if ak_inv[k]}
+    zk = {m: c for m, c in enumerate(zeta_golden_coeffs(max_scale)) if c}
+    zk1 = {m: c * m for m, c in zk.items()}
+    # the sparse quotient last: dirichlet_convolve sorts its second argument
+    rhs = dirichlet_convolve(dirichlet_convolve(zk, zk1, max_scale),
+                             dirichlet_convolve(z2, zk2_inv, max_scale), max_scale)
+    return all(rhs.get(m, 0) == values(m) for m in range(1, max_scale + 1))
 
 
 def _times_zeta_shift(h: list[int], k: int) -> None:
@@ -272,7 +236,7 @@ def _soc_closed_form_coeffs(limit: int) -> list[int]:
         b[power] = sign
         power *= 5
         sign = -sign
-    mu = _mobius(isqrt(limit))
+    mu = expand_multiplicative(_mobius_pp, isqrt(limit))
     e = {k * k: mu[k] for k in range(1, isqrt(limit) + 1) if mu[k]}
     fct = {k * k: mu[k] * k * k for k in range(1, isqrt(limit) + 1) if mu[k]}
 

@@ -30,12 +30,15 @@ def hnf(rows: Iterable[Sequence[int]]) -> IntMatrix:
     Upper triangular in echelon shape, positive pivots, entries above a
     pivot reduced into [0, pivot).  Zero rows are dropped, so the result
     has one row per dimension of the span.  An entry that is not an
-    integer raises TypeError.  One pass: Euclid clears each column below
-    the placed pivots by the row of smallest absolute value, and the rows
-    above a new pivot are reduced as it is placed; it is zero left of its
-    column, so later reductions leave earlier columns alone.
+    integer raises TypeError, rows of unequal length ValueError.  One
+    pass: Euclid clears each column below the placed pivots by the row of
+    smallest absolute value, and the rows above a new pivot are reduced
+    as it is placed; it is zero left of its column, so later reductions
+    leave earlier columns alone.
     """
     m = [list(map(index, row)) for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("inconsistent row lengths")
     r = 0  # the next pivot row
     for col in range(len(m[0]) if m else 0):
         while True:

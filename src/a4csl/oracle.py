@@ -297,7 +297,10 @@ def oracle_csl_properties(samples: int = 100, seed: int = 0) -> dict:
     * the rotation denominator divides sigma and sigma divides its square,
     * sigma * L is contained in the CSL,
     * the CSL only depends on the right ideal (unit invariance).
+
+    `samples` must be an integer (TypeError otherwise, for 1.5 too).
     """
+    samples = index(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)

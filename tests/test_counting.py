@@ -6,23 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a4csl.counting import (
+    _mobius_pp,
     _soc_closed_form_coeffs,
+    _zeta_golden_inverse_pp,
     check_soc_identity,
     check_ssl_identity,
     dirichlet_convolve,
-    dirichlet_inverse,
     expand_multiplicative,
     f_soc,
     f_soc_values,
     f_ssl,
     f_ssl_values,
-    _zeta_icosian_sparse,
     zeta_golden_coeffs,
 )
 
 SSL_KNOWN = {1: 1, 4: 6, 5: 6, 9: 11, 11: 24, 16: 26, 19: 40, 20: 36,
              25: 31, 29: 60, 31: 64, 36: 66}
 SOC_KNOWN = [1, 5, 10, 20, 30, 50, 50, 80, 90, 150, 144]  # n = 1..11
+
+
+def mobius(n):
+    """The Moebius function by its definition, from trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 def test_f_ssl_known_values():
@@ -69,31 +82,30 @@ def test_zeta_golden_coeffs():
 
 
 def test_zeta_icosian_coeffs():
-    c = _zeta_icosian_sparse(130)
-    assert c[1] == 1
-    assert 4 not in c
-    assert c[16] == 5
-    assert c[25] == 6
-    assert c[81] == 10
-    assert c[121] == 24
-    for n, v in c.items():
-        assert v and isqrt(n) ** 2 == n
+    # zeta_I(s) = zeta_K(2s) zeta_K(2s - 1) counts right ideals of the icosian
+    # ring; in u = 2s it is zeta_K(u) zeta_K(u - 1), c(m) ideals of index m^2
+    ak = zeta_golden_coeffs(11)
+    zk = {m: c for m, c in enumerate(ak) if c}
+    c = dirichlet_convolve(zk, {m: a * m for m, a in zk.items()}, 11)
+    assert c == {1: 1, 4: 5, 5: 6, 9: 10, 11: 24}
 
 
 def test_dirichlet_inverse_of_ones_is_mobius():
-    mu = dirichlet_inverse([0] + [1] * 10)
-    assert mu[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    mu = expand_multiplicative(_mobius_pp, 3000)
+    assert mu[1:11] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    assert mu == [0] + [mobius(n) for n in range(1, 3001)]
+    ones = {n: 1 for n in range(1, 3001)}
+    assert dirichlet_convolve(ones, {n: x for n, x in enumerate(mu) if x}, 3000) == {1: 1}
 
 
 def test_dirichlet_convolution_with_inverse_gives_delta():
-    rng = random.Random(409)
-    a = [0, 1] + [rng.randint(-4, 4) for _ in range(28)]
-    inv = dirichlet_inverse(a)
-    conv = dirichlet_convolve(
-        {n: a[n] for n in range(1, 30) if a[n]},
-        {n: inv[n] for n in range(1, 30) if inv[n]},
-        29,
-    )
+    # 1/zeta_K from its Euler factors (1 - x) at 5, (1 - x)^2 at a split p
+    # and (1 - x^2) at an inert p inverts zeta_K from its own
+    ak = zeta_golden_coeffs(3000)
+    inv = expand_multiplicative(_zeta_golden_inverse_pp, 3000)
+    assert inv[1:12] == [1, 0, 0, -1, -1, 0, 0, 0, -1, 0, -2]
+    conv = dirichlet_convolve({n: a for n, a in enumerate(ak) if a},
+                              {n: x for n, x in enumerate(inv) if x}, 3000)
     assert conv == {1: 1}
 
 
@@ -127,13 +139,18 @@ def test_ssl_identity_holds():
     assert check_ssl_identity(60)
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 4])
+def test_ssl_identity_holds_across_the_first_square(limit):
+    # the quotient zeta(2u)/zeta_K(2u) gains its second term at 4
+    assert check_ssl_identity(limit)
+
+
 def test_ssl_identity_detects_corruption():
     ssl = f_ssl_values(60)
-
-    def corrupted(m):
-        return ssl[m] + (1 if m == 4 else 0)
-
-    assert not check_ssl_identity(60, corrupted)
+    # the first and last scales, a zero of f_ssl (7), a square (16, 25) and
+    # the prime-power and composite scales around them
+    for bad in (1, 4, 7, 16, 25, 59, 60):
+        assert not check_ssl_identity(60, lambda m: ssl[m] + (m == bad)), bad
 
 
 def test_soc_identity_holds():
@@ -162,9 +179,9 @@ def dense_soc_closed_form(limit):
                {5 ** k: (-1) ** k for k in range(20) if 5 ** k <= limit},
                {n: 1 for n in range(1, limit + 1)},
                {n: n * n for n in range(1, limit + 1)}]
-    mu = dirichlet_inverse([0] + [1] * isqrt(limit))
-    factors.append({k * k: mu[k] for k in range(1, isqrt(limit) + 1) if mu[k]})
-    factors.append({k * k: mu[k] * k * k for k in range(1, isqrt(limit) + 1) if mu[k]})
+    mu = {k: mobius(k) for k in range(1, isqrt(limit) + 1)}
+    factors.append({k * k: x for k, x in mu.items() if x})
+    factors.append({k * k: x * k * k for k, x in mu.items() if x})
     out = {1: 1}
     for f in factors:
         out = dirichlet_convolve(out, f, limit)
@@ -190,7 +207,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         check_ssl_identity(0)
     with pytest.raises(ValueError):
-        dirichlet_inverse([0, 2, 1])
+        expand_multiplicative(_mobius_pp, 0)
     with pytest.raises(ValueError):
         dirichlet_convolve({0: 1}, {1: 1}, 5)
 

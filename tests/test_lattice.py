@@ -92,6 +92,15 @@ def test_hnf_refuses_non_integer_entries():
     assert (lat.basis, lat.den) == (((1, 10), (0, 30)), 10)
 
 
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[0, 0], [1]], [[1, 2], [3]], [[1, 2], []]],
+                         ids=["short-first", "zero-first", "short-last", "empty-last"])
+def test_hnf_refuses_rows_of_unequal_length(rows):
+    # as det_int and ExactLattice.from_rows do: the first two used to return
+    # ((1,),), dropping entries, and the third raised IndexError
+    with pytest.raises(ValueError):
+        hnf(rows)
+
+
 @pytest.mark.parametrize("entry", [1.5, 2.0, "2"], ids=["float", "integral-float", "str"])
 @pytest.mark.parametrize("call", [
     lambda x: ExactLattice.from_rows([[x, 0], [0, 1]]),

@@ -270,6 +270,13 @@ def test_csl_property_sampler_all_pass():
     assert all(v == 5 for v in report["checks"].values())
 
 
+@pytest.mark.parametrize("samples", [1.5, 2.0, "2"])
+def test_csl_property_sampler_refuses_a_non_integer_count(samples):
+    # 1.5 used to draw 2 samples and report "requested": 1.5
+    with pytest.raises(TypeError):
+        oracle_csl_properties(samples=samples)
+
+
 @pytest.mark.parametrize("size", ["max_ssl_m", "max_ssl_m_dual", "max_soc_n",
                                   "csl_samples", "series_limit"])
 def test_verify_all_refuses_an_empty_range(size, monkeypatch):

@@ -134,20 +134,45 @@ def test_lll_matches_fraction_reduction_on_ssl_candidates():
 def twice_range_equivalent(g1, g2):
     """The theta prefilter forms_equivalent used to run: pair counts of the
     reduced forms compared at every norm up to twice the largest diagonal
-    entry of the reduced G2, then forms_equivalent itself."""
+    entry of the reduced G2, then an isometry search written apart from
+    forms_equivalent (`search_equivalent`)."""
     r1, _ = lll_reduce_gram(g1)
     r2, _ = lll_reduce_gram(g2)
     top = 2 * max(r2[i][i] for i in range(len(r2)))
     if (Counter(norm for _, norm in short_vectors(r1, top))
             != Counter(norm for _, norm in short_vectors(r2, top))):
         return False
-    return forms_equivalent(g1, g2)
+    return search_equivalent(r1, r2)
+
+
+def search_equivalent(r1, r2):
+    """Whether rows x_0..x_{n-1} with x_i R1 x_j = R2[i][j] exist, by
+    backtracking over the Fraction reference's short vectors of R1, both
+    signs of each, testing every Gram entry of each new row directly.
+    Their matrix X has X R1 X^T = R2, and as the determinants are equal,
+    det X = +-1: X is unimodular."""
+    n = len(r2)
+    assert det_int(r1) == det_int(r2)
+    by_norm = {}
+    for v, norm in reference.short_vectors(r1, max(r2[i][i] for i in range(n))):
+        by_norm.setdefault(norm, []).extend([v, tuple(-x for x in v)])
+
+    def entry(x, y):
+        return sum(x[k] * r1[k][l] * y[l] for k in range(n) for l in range(n))
+
+    def extend(rows):
+        k = len(rows)
+        return k == n or any(
+            extend(rows + [v]) for v in by_norm.get(r2[k][k], ())
+            if all(entry(v, rows[j]) == r2[k][j] for j in range(k)))
+
+    return extend([])
 
 
 def test_forms_equivalent_on_the_ssl_candidates():
     # the benchmark's SSL work list accepts 216 of its 366 candidates, and the
     # walk to the largest diagonal entry decides each as the twice-range
-    # prefilter did
+    # prefilter and the independent search do
     pairs = ssl_work_candidates()
     decided = [forms_equivalent(c, g) for c, g in pairs]
     assert len(pairs) == 366 and sum(decided) == 216
