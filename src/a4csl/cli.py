@@ -38,14 +38,7 @@ from .icosian import (
     enumerate_by_trace_norm,
     is_primitive_zcoords,
 )
-from .oracle import verify_all
-
-_PROFILES = {
-    # (ssl max, dual ssl max, soc max, csl samples, series limit)
-    "smoke": (5, 5, 2, 10, 60),
-    "default": (11, 9, 8, 100, 200),
-    "deep": (12, 10, 10, 1000, 400),
-}
+from .oracle import PROFILES, verify_all
 
 
 # The largest accepted sizes; a larger one is a usage error.  Each cap runs
@@ -81,13 +74,6 @@ def _size_at_most(cap: int):
             raise argparse.ArgumentTypeError(f"{value} is above the limit {cap}")
         return value
     return parse
-
-
-def _thread_count(text: str) -> int:
-    """A positive worker count, clamped to the CPUs this process may run on
-    (its affinity mask where the platform has one)."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(_positive_int(text), usable or 1)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -223,16 +209,7 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    ssl_m, dual_m, soc_n, samples, series_limit = _PROFILES[args.profile]
-    report = verify_all(
-        max_ssl_m=ssl_m,
-        max_ssl_m_dual=dual_m,
-        max_soc_n=soc_n,
-        csl_samples=samples,
-        seed=args.seed,
-        series_limit=series_limit,
-        threads=args.threads,
-    )
+    report = verify_all(args.profile, seed=args.seed, threads=args.threads)
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
@@ -297,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser(
         "verify", help="run the brute-force oracles against the closed forms"
     )
-    p_verify.add_argument("--profile", choices=tuple(_PROFILES), default="default")
+    p_verify.add_argument("--profile", choices=tuple(PROFILES), default="default")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=_thread_count, default=1,
+    p_verify.add_argument("--threads", type=_positive_int, default=1,
                           help="worker processes (at most the usable CPUs)")
     _add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

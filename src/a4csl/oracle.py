@@ -13,6 +13,7 @@ coincidence site lattices -- so that the multiplicative formulas in
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import random
 import sys
@@ -407,70 +408,72 @@ class VerificationReport:
         return lines
 
 
-def _run_unit(spec: tuple) -> tuple[tuple, dict, float]:
-    """Execute one independent verification unit (picklable worker)."""
+#: every `verify` profile's sizes, by section in report order: a range is
+#: one unit per index, reported as rows; an int is one unit whose payload
+#: is the section's details
+PROFILES = {
+    "smoke": {"ssl-counts": range(1, 6), "ssl-counts-dual": range(1, 6),
+              "soc-counts": range(1, 3), "csl-samples": 10, "series-identities": 60},
+    "default": {"ssl-counts": range(1, 12), "ssl-counts-dual": range(1, 10),
+                "soc-counts": range(1, 9), "csl-samples": 100, "series-identities": 200},
+    "deep": {"ssl-counts": range(1, 13), "ssl-counts-dual": range(1, 11),
+             "soc-counts": range(1, 11), "csl-samples": 1000, "series-identities": 400},
+}
+
+
+def _run_unit(spec: tuple[str, int, int]) -> tuple[bool, dict, float]:
+    """Execute one independent verification unit (picklable worker): the
+    unit of section `name` at `size`, with the profile's seed."""
     started = time.monotonic()
-    kind = spec[0]
-    if kind == "ssl":
-        _, which, m = spec
-        gram = CARTAN_A4 if which == "cartan" else dual_lattice_gram()
-        payload = {"m": m, "oracle": oracle_ssl_count(m, gram), "formula": f_ssl(m)}
-    elif kind == "soc":
-        _, n = spec
-        payload = {"n": n, "oracle": oracle_soc_count(n), "formula": f_soc(n)}
-    elif kind == "csl":
-        _, samples, seed = spec
-        payload = oracle_csl_properties(samples=samples, seed=seed)
-    elif kind == "series":
-        _, limit = spec
+    name, size, seed = spec
+    if name in ("ssl-counts", "ssl-counts-dual"):
+        gram = CARTAN_A4 if name == "ssl-counts" else dual_lattice_gram()
+        payload = {"m": size, "oracle": oracle_ssl_count(size, gram), "formula": f_ssl(size)}
+        ok = payload["oracle"] == payload["formula"]
+    elif name == "soc-counts":
+        payload = {"n": size, "oracle": oracle_soc_count(size), "formula": f_soc(size)}
+        ok = payload["oracle"] == payload["formula"]
+    elif name == "csl-samples":
+        payload = oracle_csl_properties(samples=size, seed=seed)
+        ok = payload["all_passed"]
+    elif name == "series-identities":
         payload = {
-            "limit": limit,
-            "ssl_identity": check_ssl_identity(limit),
-            "soc_identity": check_soc_identity(limit),
+            "limit": size,
+            "ssl_identity": check_ssl_identity(size),
+            "soc_identity": check_soc_identity(size),
         }
+        ok = payload["ssl_identity"] and payload["soc_identity"]
     else:
-        raise ValueError(f"unknown unit kind {kind!r}")
-    return spec, payload, time.monotonic() - started
+        raise ValueError(f"unknown section {name!r}")
+    return ok, payload, time.monotonic() - started
 
 
-# the report's sections in order: (name, unit kind, lattice of an SSL section)
-_SECTIONS = (
-    ("ssl-counts", "ssl", "cartan"),
-    ("ssl-counts-dual", "ssl", "dual"),
-    ("soc-counts", "soc", None),
-    ("csl-samples", "csl", None),
-    ("series-identities", "series", None),
-)
-
-
-def verify_all(
-    max_ssl_m: int = 11,
-    max_ssl_m_dual: int = 9,
-    max_soc_n: int = 5,
-    csl_samples: int = 100,
-    seed: int = 0,
-    series_limit: int = 200,
-    threads: int = 1,
-) -> VerificationReport:
-    """Run every oracle against the closed-form counts.
+def verify_all(profile: str = "default", seed: int = 0, threads: int = 1) -> VerificationReport:
+    """Run every oracle of a profile in `PROFILES` against the closed forms.
 
     The work is split into independent units (one per count, one for the
     sampling section, one for the Dirichlet-series identities) which may
     be distributed over worker processes; results are reassembled in a
-    fixed order so the report is identical regardless of `threads`.  A
-    range or size below 1 raises ValueError before any unit runs: a range
-    below 1 would check nothing.
+    fixed order so the report is identical regardless of `threads`.  The
+    worker count is clamped to the usable CPUs.  An unknown profile or a
+    thread count below 1 raises ValueError before any unit runs.
     """
-    if min(max_ssl_m, max_ssl_m_dual, max_soc_n, csl_samples, series_limit) < 1:
-        raise ValueError("every oracle range and sample size must be at least 1")
-    specs: list[tuple] = []
-    specs += [("ssl", "cartan", m) for m in range(1, max_ssl_m + 1)]
-    specs += [("ssl", "dual", m) for m in range(1, max_ssl_m_dual + 1)]
-    specs += [("soc", n) for n in range(1, max_soc_n + 1)]
-    specs.append(("csl", csl_samples, seed))
-    specs.append(("series", series_limit))
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; choose from {', '.join(PROFILES)}")
+    threads = index(threads)
+    if threads < 1:
+        raise ValueError("need at least one thread")
+    # at most the CPUs this process may run on (its affinity mask where the
+    # platform has one): a fork pool starts all its workers at once
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, usable or 1)
+    table = PROFILES[profile]
+    units = {name: [(name, size, seed) for size in (sizes if isinstance(sizes, range)
+                                                    else (sizes,))]
+             for name, sizes in table.items()}
+    specs = [spec for group in units.values() for spec in group]
 
-    results: dict[tuple, tuple[dict, float]] = {}
+    results: dict[tuple, tuple[bool, dict, float]] = {}
     if threads > 1:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -480,31 +483,19 @@ def verify_all(
         # exception raised by an oracle propagates from pool.map as is
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for spec, payload, elapsed in pool.map(_run_unit, specs):
-                    results[spec] = (payload, elapsed)
+                results.update(zip(specs, pool.map(_run_unit, specs)))
         except (BrokenProcessPool, pickle.PicklingError) as exc:
             print(f"warning: worker pool failed ({type(exc).__name__}: {exc}); "
                   f"running the {len(specs) - len(results)} unfinished units serially",
                   file=sys.stderr)
     for spec in specs:
         if spec not in results:
-            _, payload, elapsed = _run_unit(spec)
-            results[spec] = (payload, elapsed)
+            results[spec] = _run_unit(spec)
 
     sections = []
-    for name, kind, which in _SECTIONS:
-        picked = [spec for spec in specs
-                  if spec[0] == kind and (which is None or spec[1] == which)]
-        rows = [results[spec][0] for spec in picked]
-        spent = sum(results[spec][1] for spec in picked)
-        if kind == "csl":
-            (details,) = rows
-            ok = details["all_passed"]
-        elif kind == "series":
-            (details,) = rows
-            ok = details["ssl_identity"] and details["soc_identity"]
-        else:
-            details = {"rows": rows}
-            ok = all(r["oracle"] == r["formula"] for r in rows)
-        sections.append(SectionReport(name=name, ok=ok, details=details, elapsed=spent))
+    for name, group in units.items():
+        oks, payloads, times = zip(*(results[spec] for spec in group))
+        details = {"rows": list(payloads)} if isinstance(table[name], range) else payloads[0]
+        sections.append(SectionReport(name=name, ok=all(oks), details=details,
+                                      elapsed=sum(times)))
     return VerificationReport(tuple(sections))

@@ -3,6 +3,7 @@ rejected before any work, or any worker process, starts.  An --out file
 that cannot be written is a usage error as well, but a stdout pipe that
 its reader closes early is not an error."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from a4csl import oracle
 from a4csl.cli import build_parser, main
+from a4csl.oracle import PROFILES, verify_all
 
 
 @pytest.mark.parametrize("argv", [
@@ -56,19 +59,59 @@ def test_sizes_at_their_cap_are_accepted():
     assert parse(["enumerate-icosians", "--trace-norm", "24"]).trace_norm == 24
 
 
-def test_threads_clamped_to_cpu_count():
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    args = build_parser().parse_args(["verify", "--threads", "1000000"])
-    assert args.threads == (usable or 1)
-    assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
+def test_profile_choices_are_the_table_keys(capsys):
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (profile,) = [a for a in verify._actions if a.dest == "profile"]
+    assert profile.choices == tuple(PROFILES)
+    assert main(["verify", "--profile", "nope"]) == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def _record_pool_sizes(monkeypatch) -> list[int]:
+    """Stand in for ProcessPoolExecutor and the units: record each pool's
+    max_workers, start no process and run no oracle."""
+    asked: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle, "_run_unit", lambda spec: (True, {}, 0.0))
+    return asked
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    # without an affinity mask, verify_all asks for at most os.cpu_count() workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    asked = _record_pool_sizes(monkeypatch)
+    assert verify_all("smoke", threads=1_000_000).ok
+    assert verify_all("smoke", threads=2).ok
+    assert verify_all("smoke", threads=1).ok  # serial: no pool at all
+    assert asked == [3, 2]
+    # the parser keeps only its positivity check
+    assert build_parser().parse_args(["verify", "--threads", "1000000"]).threads == 1_000_000
 
 
 def test_threads_clamped_to_the_affinity_mask(monkeypatch):
-    # a process pinned to two CPUs of a large host gets at most two workers
+    # a process pinned to two CPUs of a large host gets at most two workers,
+    # through the library call and through the command line alike
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert build_parser().parse_args(["verify", "--threads", "64"]).threads == 2
-    assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
+    asked = _record_pool_sizes(monkeypatch)
+    assert verify_all("deep", threads=64).ok
+    assert main(["verify", "--threads", "64", "--format", "json"]) == 0
+    assert asked == [2, 2]
 
 
 @pytest.mark.parametrize("argv", [

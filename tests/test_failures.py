@@ -15,8 +15,7 @@ from a4csl import oracle
 from a4csl.golden import ConsistencyError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SMALL = dict(max_ssl_m=3, max_ssl_m_dual=2, max_soc_n=1, csl_samples=2, seed=3,
-             series_limit=20)
+SMALL = dict(profile="smoke", seed=3)
 
 
 class InProcessPool:

@@ -13,6 +13,7 @@ from a4csl.counting import f_soc, f_ssl
 from a4csl.golden import ConsistencyError, GoldenInt
 from a4csl.lattice import det_int
 from a4csl.oracle import (
+    PROFILES,
     _check_gram,
     _divisor_tuples,
     _ssl_candidates,
@@ -277,27 +278,8 @@ def test_csl_property_sampler_refuses_a_non_integer_count(samples):
         oracle_csl_properties(samples=samples)
 
 
-@pytest.mark.parametrize("size", ["max_ssl_m", "max_ssl_m_dual", "max_soc_n",
-                                  "csl_samples", "series_limit"])
-def test_verify_all_refuses_an_empty_range(size, monkeypatch):
-    # a section over no index would report ok without checking anything; the
-    # refusal comes before any unit runs
-    monkeypatch.setattr(oracle, "_run_unit", None)
-    sizes = dict(max_ssl_m=1, max_ssl_m_dual=1, max_soc_n=1, csl_samples=1, series_limit=1)
-    with pytest.raises(ValueError, match="must be at least 1"):
-        verify_all(**{**sizes, size: 0})
-
-
 def test_verify_all_serial_report():
-    report = verify_all(
-        max_ssl_m=4,
-        max_ssl_m_dual=3,
-        max_soc_n=2,
-        csl_samples=4,
-        seed=2,
-        series_limit=40,
-        threads=1,
-    )
+    report = verify_all("smoke", seed=2, threads=1)
     assert report.ok
     names = [s.name for s in report.sections]
     assert names == [
@@ -315,14 +297,29 @@ def test_verify_all_serial_report():
 
 
 def test_verify_all_threads_do_not_change_the_report():
-    kwargs = dict(
-        max_ssl_m=4,
-        max_ssl_m_dual=3,
-        max_soc_n=2,
-        csl_samples=4,
-        seed=2,
-        series_limit=40,
-    )
-    serial = verify_all(threads=1, **kwargs)
-    parallel = verify_all(threads=2, **kwargs)
+    serial = verify_all("smoke", seed=2, threads=1)
+    parallel = verify_all("smoke", seed=2, threads=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_every_profile_names_the_same_sections_in_report_order():
+    orders = {profile: list(sizes) for profile, sizes in PROFILES.items()}
+    assert set(orders) == {"smoke", "default", "deep"}
+    for order in orders.values():
+        assert order == ["ssl-counts", "ssl-counts-dual", "soc-counts",
+                         "csl-samples", "series-identities"]
+
+
+def test_every_profile_section_has_a_unit():
+    # a section over no index would report ok without checking anything
+    for sizes in PROFILES.values():
+        for unit_sizes in sizes.values():
+            assert min(unit_sizes) >= 1 if isinstance(unit_sizes, range) else unit_sizes >= 1
+
+
+@pytest.mark.parametrize("kwargs", [dict(profile="nope"), dict(threads=0)])
+def test_verify_all_refuses_a_bad_profile_or_thread_count(kwargs, monkeypatch):
+    # the refusal comes before any unit runs
+    monkeypatch.setattr(oracle, "_run_unit", None)
+    with pytest.raises(ValueError):
+        verify_all(**kwargs)
