@@ -37,14 +37,13 @@ matrix the `csl` command prints is the one whose CSL is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .golden import ONE, RAT_ZERO, ConsistencyError, GoldenInt
+from .golden import ONE, RAT_ZERO, ConsistencyError, GoldenInt, _Frozen
 from .icosian import (
     _PAIRS,
     ZBASIS,
@@ -328,15 +327,15 @@ def l_of_ideal(q: Icosian) -> ExactLattice:
 _I4 = ExactLattice.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
 
 
-@dataclass(frozen=True)
-class CslResult:
+class CslResult(_Frozen):
     """A coincidence rotation of A4 together with its CSL."""
 
-    source: Icosian
-    extension: ExtensionPair
-    rotation: RotationMatrix
-    lattice: ExactLattice
-    sigma: int
+    _fields = ("source", "extension", "rotation", "lattice", "sigma")
+
+    def __init__(self, source: Icosian, extension: ExtensionPair, rotation: RotationMatrix,
+                 lattice: ExactLattice, sigma: int) -> None:
+        self.__dict__.update(source=source, extension=extension, rotation=rotation,
+                             lattice=lattice, sigma=sigma)
 
 
 def _csl_by_intersection(rot: RotationMatrix) -> ExactLattice:

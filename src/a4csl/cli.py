@@ -14,7 +14,6 @@ stdout pipe closed by its reader ends the command with exit 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -104,6 +103,7 @@ def _matrix_text(rows: Sequence[Sequence[object]], indent: str = "  ") -> str:
 def _cmd_count(args, parser) -> int:
     values = (f_ssl_values if args.kind == "ssl" else f_soc_values)(args.max)
     if args.format == "json":
+        import json
         payload = {
             "kind": args.kind,
             "max": args.max,
@@ -127,6 +127,7 @@ def _cmd_series(args, parser) -> int:
         else "coincidence Dirichlet identity"
     )
     if args.format == "json":
+        import json
         payload = {"kind": args.kind, "limit": args.limit, "ok": ok}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
@@ -140,6 +141,7 @@ def _emit_record(fields: Sequence[tuple[str, str, object]], args) -> None:
     text: one `label: value` line per field in list order, a vector
     space-separated and a matrix in rows below its label."""
     if args.format == "json":
+        import json
         payload = {key: value for key, _, value in fields}
         _emit(json.dumps(payload, indent=2, sort_keys=True, default=str), args.out)
         return
@@ -195,6 +197,7 @@ def _cmd_enumerate(args, parser) -> int:
         pairs = [v for v in pairs if is_primitive_zcoords(v)]
     shell = [w for v in pairs for w in (v, tuple(-x for x in v))]
     if args.format == "json":
+        import json
         payload = {
             "trace_norm": args.trace_norm,
             "primitive_only": bool(args.primitive),

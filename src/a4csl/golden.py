@@ -14,7 +14,6 @@ what `norm` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -24,6 +23,43 @@ from operator import index
 class ConsistencyError(ArithmeticError):
     """Two exact computations that must agree did not.  Raised explicitly,
     so the check also runs under `python -O`."""
+
+
+#: object's __setattr__, by which __init__ sets a field that `_Frozen` refuses
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable classes.  A subclass names its fields
+    in `_fields` (and `__slots__`, if slotted) and sets them in __init__.  A
+    slotted one writes __eq__ and __hash__ on its field tuple; any other is
+    compared and hashed by its instance dict, filled in field order.
+    Assignment and deletion raise AttributeError; pickling and copying go
+    through the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 def _sign_a_plus_b_sqrt5(a: int, b: int) -> int:
@@ -49,12 +85,22 @@ def _round_nearest(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-@dataclass(frozen=True, slots=True)
-class GoldenInt:
+class GoldenInt(_Frozen):
     """An element a + b*tau of Z[tau]."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     # -- ring structure -------------------------------------------------
 
@@ -235,13 +281,23 @@ def format_golden(a, b) -> str:
 
 # -- rationals over the golden field -------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class GoldenRat:
+class GoldenRat(_Frozen):
     """An element of Q(sqrt 5), stored as GoldenInt numerator / positive int
     denominator in lowest terms."""
 
-    num: GoldenInt
-    den: int
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: GoldenInt, den: int) -> None:
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @staticmethod
     def make(num: GoldenInt | int, den: int = 1) -> GoldenRat:
@@ -548,12 +604,13 @@ def prime_above(p: int) -> GoldenInt:
     return pi
 
 
-@dataclass(frozen=True)
-class GoldenFactorization:
+class GoldenFactorization(_Frozen):
     """unit * prod(prime^exp) with canonical primes, sorted deterministically."""
 
-    unit: GoldenInt
-    factors: tuple[tuple[GoldenInt, int], ...]
+    _fields = ("unit", "factors")
+
+    def __init__(self, unit: GoldenInt, factors: tuple[tuple[GoldenInt, int], ...]) -> None:
+        self.__dict__.update(unit=unit, factors=factors)
 
     def product(self) -> GoldenInt:
         out = self.unit

@@ -19,7 +19,6 @@ as an integer Gram and enumerates its shells exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -34,6 +33,8 @@ from .golden import (
     ConsistencyError,
     GoldenInt,
     GoldenRat,
+    _Frozen,
+    _setattr,
     gi_gcd,
     gi_lcm_conj,
     gi_sqrt,
@@ -91,12 +92,22 @@ def _zcoords_scaled(q: Quat) -> tuple[list[int], int]:
     return [sum(map(mul, v, col)) for col in _ZMAP_ADJ_COLS], d * _ZMAP_DET
 
 
-@dataclass(frozen=True, slots=True)
-class Icosian:
+class Icosian(_Frozen):
     """An element of the icosian ring, stored as its Z^8 coordinates z:
     the Z[tau] coordinate on e_i is z[i] + z[4+i] tau."""
 
-    z: tuple[int, ...]
+    __slots__ = _fields = ("z",)
+
+    def __init__(self, z: tuple[int, ...]) -> None:
+        _setattr(self, "z", z)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.z,) == (other.z,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.z,))
 
     # -- constructors ------------------------------------------------------
 
@@ -220,18 +231,29 @@ class Icosian:
         return str(self.quat)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionPair:
+class ExtensionPair(_Frozen):
     """An icosian rescaled to integer reduced norm, with its twist.
 
     extended = alpha * q has nr = sigma = lcm(nr q, (nr q)'), and the pair
     (extended, twisted) generates the rotation of coincidence index sigma.
     """
 
-    extended: Icosian
-    twisted: Icosian
-    alpha: GoldenInt
-    sigma: int
+    __slots__ = _fields = ("extended", "twisted", "alpha", "sigma")
+
+    def __init__(self, extended: Icosian, twisted: Icosian, alpha: GoldenInt, sigma: int) -> None:
+        _setattr(self, "extended", extended)
+        _setattr(self, "twisted", twisted)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "sigma", sigma)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.extended, self.twisted, self.alpha, self.sigma)
+                    == (other.extended, other.twisted, other.alpha, other.sigma))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.extended, self.twisted, self.alpha, self.sigma))
 
 
 # -- the trace form on the rank-8 Z-module --------------------------------

@@ -11,7 +11,6 @@ HNF.  Matrices are tuples of tuples, rows are generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -19,7 +18,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
-from .golden import GoldenInt
+from .golden import GoldenInt, _Frozen
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -103,11 +102,29 @@ def _divisor_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer adjugate, adj(m) m = det(m) I, from the cofactors."""
+    """Integer adjugate, adj(m) m = m adj(m) = det(m) I, of a nonsingular m
+    (ValueError if it is singular or not square, TypeError for an entry
+    that is not an integer), by one fraction-free Gauss-Jordan (Bareiss)
+    pass over [m | I], every division exact: the left half ends as d I and
+    the right half as d m^-1, d = det(m) up to the sign of the row swaps."""
     n = len(m)
-    return [[(-1) ** (i + j) * det_int([list(r[:i]) + list(r[i + 1:])
-                                        for k, r in enumerate(m) if k != j])
-             for j in range(n)] for i in range(n)]
+    a = [list(map(index, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    if any(len(r) != 2 * n for r in a):
+        raise ValueError("adjugate of a non-square matrix")
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("adjugate of a singular matrix")
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        row, pivot = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = pivot
+    return [[sign * x for x in r[n:]] for r in a]
 
 
 # -- rational lattices ----------------------------------------------------
@@ -119,8 +136,7 @@ def _rational(x: int | Fraction) -> int | Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class ExactLattice:
+class ExactLattice(_Frozen):
     """A finitely generated Z-module in Q^n: the Z-span of basis / den.
 
     `basis` is the integer HNF of den times the generators, and den is the
@@ -128,9 +144,10 @@ class ExactLattice:
     basis) = 1 and the pair is canonical.  An integer lattice has den == 1.
     """
 
-    ambient_dim: int
-    basis: IntMatrix
-    den: int
+    _fields = ("ambient_dim", "basis", "den")
+
+    def __init__(self, ambient_dim: int, basis: IntMatrix, den: int) -> None:
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis, den=den)
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> ExactLattice:
@@ -187,8 +204,8 @@ def _lowest_terms(dim: int, h: IntMatrix, den: int) -> ExactLattice:
 
 
 def lattice_dual(lat: ExactLattice, gram: Sequence[Sequence[int]] | None = None) -> ExactLattice:
-    """Dual lattice {y : <y, x> in Z for all x} w.r.t. an integral Gram
-    (identity by default), for full-rank lattices.
+    """Dual lattice {y : <y, x> in Z for all x} w.r.t. a nonsingular
+    integral Gram (identity by default), for full-rank lattices.
 
     With M = G B^T for the integer basis B of lat, the dual basis is
     den M^-1 = den adj(M) / det(M), so it is built in integers.

@@ -12,13 +12,10 @@ coincidence site lattices -- so that the multiplicative formulas in
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 import random
 import sys
 import time
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index, mul, neg
 from typing import Iterator, Sequence
@@ -33,7 +30,7 @@ from .a4 import (
     matches_quat_rotation,
 )
 from .counting import check_soc_identity, check_ssl_identity, f_soc, f_ssl
-from .golden import GoldenInt, canonical_associate, gi_lcm_conj
+from .golden import GoldenInt, _Frozen, canonical_associate, gi_lcm_conj
 from .icosian import (
     NR_B,
     Icosian,
@@ -366,24 +363,25 @@ def oracle_csl_properties(samples: int = 100, seed: int = 0) -> dict:
 # bundled verification report
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    """Outcome of one verification section."""
+class SectionReport(_Frozen):
+    """Outcome of one verification section (unhashable: details is a dict)."""
 
-    name: str
-    ok: bool
-    details: dict
-    elapsed: float
+    _fields = ("name", "ok", "details", "elapsed")
+
+    def __init__(self, name: str, ok: bool, details: dict, elapsed: float) -> None:
+        self.__dict__.update(name=name, ok=ok, details=details, elapsed=elapsed)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "details": self.details}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Aggregate of every verification section."""
 
-    sections: tuple[SectionReport, ...]
+    _fields = ("sections",)
+
+    def __init__(self, sections: tuple[SectionReport, ...]) -> None:
+        self.__dict__["sections"] = sections
 
     @property
     def ok(self) -> bool:
@@ -396,6 +394,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
         # timing is left out so reruns compare byte-for-byte
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
@@ -476,6 +475,7 @@ def verify_all(profile: str = "default", seed: int = 0, threads: int = 1) -> Ver
     results: dict[tuple, tuple[bool, dict, float]] = {}
     if threads > 1:
         # imported here so that serial runs never load multiprocessing
+        import pickle
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 

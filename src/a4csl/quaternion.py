@@ -16,11 +16,10 @@ checks and the `csl` command prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, _coerce_rat
+from .golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, _coerce_rat, _Frozen, _setattr
 from .lattice import det_int
 
 
@@ -33,14 +32,24 @@ def _as_rat(x: GoldenRat | GoldenInt | Fraction | int) -> GoldenRat:
     return r
 
 
-@dataclass(frozen=True, slots=True)
-class Quat:
+class Quat(_Frozen):
     """A quaternion a + b*i + c*j + d*k over Q(sqrt 5)."""
 
-    a: GoldenRat
-    b: GoldenRat
-    c: GoldenRat
-    d: GoldenRat
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: GoldenRat, b: GoldenRat, c: GoldenRat, d: GoldenRat) -> None:
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @staticmethod
     def of(a, b, c, d) -> Quat:
@@ -109,16 +118,15 @@ class Quat:
 _STANDARD_BASIS = tuple(Quat.of(*(int(i == j) for j in range(4))) for i in range(4))
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
+class RotationMatrix(_Frozen):
     """Exact 4x4 special orthogonal matrix over Q(sqrt 5)."""
 
-    entries: tuple[tuple[GoldenRat, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        m = self.entries
-        if len(m) != 4 or any(len(r) != 4 for r in m):
+    def __init__(self, entries: tuple[tuple[GoldenRat, ...], ...]) -> None:
+        if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("rotation matrix must be 4x4")
+        self.__dict__["entries"] = entries
 
     def apply(self, x: Quat) -> Quat:
         comps = x.components()

@@ -1,7 +1,7 @@
 """The single copies of the exact linear-algebra and prime helpers: one
-determinant over Z and Z[tau], one Euclidean division in Z[tau], the
-square root from its norm-trace identity, and one HNF pass that also
-decides lattice membership."""
+determinant over Z and Z[tau], one adjugate pass, one Euclidean division in
+Z[tau], the square root from its norm-trace identity, and one HNF pass that
+also decides lattice membership."""
 
 import itertools
 import math
@@ -9,12 +9,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from a4csl import golden, icosian, lattice, oracle
+from a4csl import a4, golden, icosian, lattice, oracle
 from a4csl.a4 import csl_of
 from a4csl.counting import f_soc
 from a4csl.golden import RAT_ONE, RAT_ZERO, GoldenInt, GoldenRat, _is_prime, factor_int, gi_sqrt
-from a4csl.lattice import ExactLattice, _divisor_tuples, det_int, hnf
+from a4csl.lattice import ExactLattice, _adjugate, _divisor_tuples, det_int, hnf, lattice_dual
 
 
 def det4_cofactor(m):
@@ -33,6 +35,16 @@ def det4_cofactor(m):
         total = total + term if sign > 0 else total - term
         sign = -sign
     return total
+
+
+def cofactor_adjugate(m):
+    """adj(m)[i][j] = (-1)^(i+j) det(m without row j and column i): the n^2
+    cofactor determinants `lattice._adjugate` ran before its one Bareiss
+    pass, kept as the reference."""
+    n = len(m)
+    return [[(-1) ** (i + j) * det_int([list(r[:i]) + list(r[i + 1:])
+                                        for k, r in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 def in_echelon_span(basis, v):
@@ -169,6 +181,64 @@ def test_rotation_det_matches_cofactor_expansion():
         d = math.lcm(*(x.den for row in r.entries for x in row))
         nums = [[x.num * (d // x.den) for x in row] for row in r.entries]
         assert GoldenRat.make(det_int(nums)) == det4_cofactor(nums) == GoldenRat.make(d ** 4)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer n x n matrices, 1 <= n <= 8; every third one or so has a zero
+    leading entry, which needs a row swap, and as many have a row that is
+    an integer combination of two others, so they are singular."""
+    n = draw(st.integers(1, 8))
+    m = [draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = 0
+    if n >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_adjugate_is_the_cofactor_adjugate(m):
+    d = det_int(m)
+    if not d:
+        with pytest.raises(ValueError, match="singular"):
+            _adjugate(m)
+        return
+    adj = _adjugate(m)
+    scalar = [[d * (i == j) for j in range(len(m))] for i in range(len(m))]
+    assert matmul(adj, m) == matmul(m, adj) == scalar
+    assert adj == cofactor_adjugate(m)
+
+
+def test_adjugate_refuses_singular_and_non_integer_input():
+    # rank n - 1: the cofactors are not all zero, but the pass has no pivot
+    assert cofactor_adjugate([[1, 2], [2, 4]]) == [[4, -2], [-2, 1]]
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1, 2], [0, 3, 6], [5, 6, 7]]):
+        with pytest.raises(ValueError, match="singular"):
+            _adjugate(singular)
+    with pytest.raises(ValueError, match="non-square"):
+        _adjugate([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(TypeError):
+        _adjugate([[Fraction(1, 2), 0], [0, 1]])
+    # a singular Gram has no dual; it used to come back with denominator 0
+    z2 = ExactLattice.from_rows([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        lattice_dual(z2, [[1, 1], [1, 1]])
+
+
+def test_every_adjugate_in_the_package_is_of_a_nonsingular_matrix():
+    # the four callers: _ZMAP, the L-basis block, the Cartan matrix in
+    # dual_lattice_gram, and lattice_dual on a full-rank lattice and Gram
+    for m in (icosian._ZMAP, a4._L_BLOCK, a4.CARTAN_A4):
+        assert det_int(m) != 0
+        assert _adjugate(m) == cofactor_adjugate(m)
+    assert det_int(a4.dual_lattice_gram()) == 125
 
 
 def test_golden_division_operators_agree_with_divmod():
